@@ -15,7 +15,7 @@ from repro.comm.all_to_all import (
     all_to_all_pipelined_exchange,
     all_to_all_sbnt,
 )
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.machine.params import PortModel
 
 CASES = [(3, 32), (4, 16), (5, 16), (6, 8)]
@@ -29,7 +29,7 @@ RUNNERS = {
 
 
 def run_case(n: int, K: int, name: str) -> float:
-    net = CubeNetwork(
+    net = EnsembleNetwork(
         custom_machine(n, tau=TAU, t_c=T_C, port_model=PortModel.N_PORT)
     )
     all_to_all_personalized_data(net, K)

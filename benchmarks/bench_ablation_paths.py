@@ -12,7 +12,7 @@ from benchmarks.reporting import emit_table
 from repro.analysis.models import dpt_time, spt_optimal_packet, spt_time
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.machine.params import PortModel
 from repro.transpose.two_dim import (
     two_dim_transpose_dpt,
@@ -45,13 +45,13 @@ def sweep():
     rows = []
     for B in PACKETS:
         label = "whole" if B is None else B
-        spt_net = CubeNetwork(machine())
+        spt_net = EnsembleNetwork(machine())
         two_dim_transpose_spt(spt_net, dm, layout, packet_size=B)
-        dpt_net = CubeNetwork(machine())
+        dpt_net = EnsembleNetwork(machine())
         two_dim_transpose_dpt(dpt_net, dm, layout, packet_size=B)
         rows.append([label, spt_net.time, dpt_net.time])
     for k in (1, 2, 4):
-        mpt_net = CubeNetwork(machine())
+        mpt_net = EnsembleNetwork(machine())
         two_dim_transpose_mpt(mpt_net, dm, layout, rounds=k)
         rows.append([f"mpt k={k}", mpt_net.time, ""])
     return rows

@@ -10,7 +10,7 @@ import numpy as np
 from benchmarks.reporting import emit_table
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.transpose.exchange import BufferPolicy
 from repro.transpose.remap import remap_transpose
 
@@ -25,7 +25,7 @@ def run_alg(alg: int, *, charge_local: bool) -> tuple[float, float, int]:
     dm = DistributedMatrix.from_global(
         np.zeros((1 << P_BITS, 1 << P_BITS)), before
     )
-    net = CubeNetwork(
+    net = EnsembleNetwork(
         custom_machine(2 * NR, tau=TAU, t_c=T_C, t_copy=T_COPY)
     )
     policy = BufferPolicy(mode="buffered", charge_local_moves=charge_local)

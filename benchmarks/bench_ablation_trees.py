@@ -15,7 +15,7 @@ from repro.comm.one_to_all import (
     scatter_tree,
 )
 from repro.cube.trees import spanning_balanced_tree, spanning_binomial_tree
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.machine.params import PortModel
 
 N_CUBE = 5
@@ -24,7 +24,7 @@ TAU, T_C = 2.0, 1.0
 
 
 def run_case(name: str, port: PortModel) -> float:
-    net = CubeNetwork(
+    net = EnsembleNetwork(
         custom_machine(N_CUBE, tau=TAU, t_c=T_C, port_model=port)
     )
     if name == "rotated":

@@ -34,7 +34,7 @@ from benchmarks.reporting import emit_table, ms
 from repro.analysis.report import format_link_heatmap, format_topology_heatmap
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork
+from repro.machine import EnsembleNetwork
 from repro.machine.params import PortModel
 from repro.machine.presets import custom_machine
 from repro.topology import parse_topology
@@ -63,7 +63,7 @@ def _problem(elements: int):
 def _run(spec: str, elements: int):
     topo = parse_topology(spec, N)
     layout, A = _problem(elements)
-    net = CubeNetwork(_machine(), topology=topo)
+    net = EnsembleNetwork(_machine(), topology=topo)
     result = transpose(
         net, DistributedMatrix.from_global(A, layout), layout
     )

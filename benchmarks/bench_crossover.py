@@ -19,7 +19,7 @@ from repro.analysis.crossover import (
 )
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.machine.params import PortModel
 from repro.transpose.one_dim import one_dim_transpose_sbnt
 from repro.transpose.two_dim import two_dim_transpose_mpt
@@ -46,13 +46,13 @@ def simulate_point(n: int) -> tuple[float, float]:
     p = BITS // 2
     lay1 = pt.row_consecutive(p, BITS - p, n)
     dm1 = DistributedMatrix.from_global(np.zeros((1 << p, 1 << (BITS - p))), lay1)
-    net1 = CubeNetwork(params)
+    net1 = EnsembleNetwork(params)
     one_dim_transpose_sbnt(net1, dm1, pt.row_consecutive(BITS - p, p, n))
 
     half = n // 2
     lay2 = pt.two_dim_cyclic(p, BITS - p, half, half)
     dm2 = DistributedMatrix.from_global(np.zeros((1 << p, 1 << (BITS - p))), lay2)
-    net2 = CubeNetwork(params)
+    net2 = EnsembleNetwork(params)
     L = (1 << BITS) >> n
     k = max(1, round(math.sqrt(L * T_C / (2 * TAU)) / n))
     two_dim_transpose_mpt(net2, dm2, lay2, rounds=k)

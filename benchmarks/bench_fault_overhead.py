@@ -17,7 +17,7 @@ import numpy as np
 from benchmarks.reporting import emit_table, ms
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, FaultPlan
+from repro.machine import EnsembleNetwork, FaultPlan
 from repro.machine.faults import DisconnectedCubeError, RoutingStalledError
 from repro.machine.presets import intel_ipsc
 from repro.transpose import transpose
@@ -38,7 +38,7 @@ def _problem():
 
 
 def _run(layout, A, plan, algorithm):
-    net = CubeNetwork(intel_ipsc(N), faults=plan)
+    net = EnsembleNetwork(intel_ipsc(N), faults=plan)
     result = transpose(
         net, DistributedMatrix.from_global(A, layout), layout,
         algorithm=algorithm,

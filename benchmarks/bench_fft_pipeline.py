@@ -13,7 +13,7 @@ compose their address maps into one exchange sequence. Two sweeps:
 """
 
 from benchmarks.reporting import emit_table, ms
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.presets import connection_machine
 from repro.plans.ir import PhaseOp
 from repro.plans.replay import replay_plan
@@ -25,7 +25,7 @@ def _phases(plan):
 
 
 def _replay_cost(plan, params):
-    net = CubeNetwork(params)
+    net = EnsembleNetwork(params)
     replay_plan(plan, net)
     return net.stats
 

@@ -15,7 +15,7 @@ import pytest
 from benchmarks.reporting import emit_table, ms
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork
+from repro.machine import EnsembleNetwork
 from repro.machine.presets import intel_ipsc
 from repro.transpose.exchange import BufferPolicy
 from repro.transpose.one_dim import one_dim_transpose_exchange
@@ -30,7 +30,7 @@ def run_one(n: int, mode: str) -> float:
     after = pt.row_consecutive(q, p, n)
     A = np.zeros((1 << p, 1 << q))
     dm = DistributedMatrix.from_global(A, before)
-    net = CubeNetwork(intel_ipsc(n))
+    net = EnsembleNetwork(intel_ipsc(n))
     policy = BufferPolicy(mode=mode, min_unbuffered_run=64)
     one_dim_transpose_exchange(net, dm, after, policy=policy)
     return net.time

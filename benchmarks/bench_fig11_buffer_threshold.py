@@ -13,7 +13,7 @@ import numpy as np
 from benchmarks.reporting import emit_table, ms
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork
+from repro.machine import EnsembleNetwork
 from repro.machine.presets import intel_ipsc
 from repro.transpose.exchange import BufferPolicy
 from repro.transpose.one_dim import one_dim_transpose_exchange
@@ -28,7 +28,7 @@ def run_one(threshold: int) -> float:
     before = pt.row_consecutive(p, q, N_CUBE)
     after = pt.row_consecutive(q, p, N_CUBE)
     dm = DistributedMatrix.from_global(np.zeros((1 << p, 1 << q)), before)
-    net = CubeNetwork(intel_ipsc(N_CUBE))
+    net = EnsembleNetwork(intel_ipsc(N_CUBE))
     policy = BufferPolicy(mode="threshold", min_unbuffered_run=threshold)
     one_dim_transpose_exchange(net, dm, after, policy=policy)
     return net.time

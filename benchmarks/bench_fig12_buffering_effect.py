@@ -12,7 +12,7 @@ import pytest
 from benchmarks.reporting import emit_table, ms
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork
+from repro.machine import EnsembleNetwork
 from repro.machine.presets import intel_ipsc
 from repro.transpose.exchange import BufferPolicy
 from repro.transpose.one_dim import one_dim_transpose_exchange
@@ -27,7 +27,7 @@ def run_one(total_bits: int, mode: str) -> float:
     before = pt.row_consecutive(p, q, N_CUBE)
     after = pt.row_consecutive(q, p, N_CUBE)
     dm = DistributedMatrix.from_global(np.zeros((1 << p, 1 << q)), before)
-    net = CubeNetwork(intel_ipsc(N_CUBE))
+    net = EnsembleNetwork(intel_ipsc(N_CUBE))
     policy = BufferPolicy(mode=mode, min_unbuffered_run=64)
     one_dim_transpose_exchange(net, dm, after, policy=policy)
     return net.time

@@ -13,7 +13,7 @@ import pytest
 from benchmarks.reporting import emit_table, ms
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork
+from repro.machine import EnsembleNetwork
 from repro.machine.presets import intel_ipsc
 from repro.transpose.two_dim import two_dim_transpose_spt
 
@@ -27,7 +27,7 @@ def run_one(total_bits: int, n: int) -> tuple[float, float, float]:
     dm = DistributedMatrix.from_global(
         np.zeros((1 << p, 1 << (total_bits - p))), layout
     )
-    net = CubeNetwork(intel_ipsc(n))
+    net = EnsembleNetwork(intel_ipsc(n))
     two_dim_transpose_spt(net, dm, layout, charge_copy=True)
     return net.stats.copy_time, net.stats.comm_time, net.time
 

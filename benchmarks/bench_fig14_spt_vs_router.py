@@ -12,7 +12,7 @@ import numpy as np
 from benchmarks.reporting import emit_table, ms
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork
+from repro.machine import EnsembleNetwork
 from repro.machine.presets import intel_ipsc
 from repro.transpose.two_dim import two_dim_transpose_router, two_dim_transpose_spt
 
@@ -28,9 +28,9 @@ def run_pair(total_bits: int, n: int) -> tuple[float, float]:
     dm = DistributedMatrix.from_global(
         np.zeros((1 << p, 1 << (total_bits - p))), layout
     )
-    spt_net = CubeNetwork(intel_ipsc(n))
+    spt_net = EnsembleNetwork(intel_ipsc(n))
     two_dim_transpose_spt(spt_net, dm, layout, charge_copy=True)
-    rt_net = CubeNetwork(intel_ipsc(n))
+    rt_net = EnsembleNetwork(intel_ipsc(n))
     two_dim_transpose_router(rt_net, dm, layout)
     return spt_net.time, rt_net.time
 

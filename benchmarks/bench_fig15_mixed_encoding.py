@@ -13,7 +13,7 @@ import pytest
 from benchmarks.reporting import emit_table, ms
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork
+from repro.machine import EnsembleNetwork
 from repro.machine.presets import intel_ipsc
 from repro.transpose.mixed import (
     mixed_code_transpose_combined,
@@ -36,9 +36,9 @@ def run_pair(total_bits: int) -> tuple[float, float]:
     after = pt.two_dim_mixed(
         total_bits - p, p, half, half, rows="cyclic", cols="cyclic", col_gray=True
     )
-    naive_net = CubeNetwork(intel_ipsc(N_CUBE))
+    naive_net = EnsembleNetwork(intel_ipsc(N_CUBE))
     mixed_code_transpose_naive(naive_net, dm, after)
-    comb_net = CubeNetwork(intel_ipsc(N_CUBE))
+    comb_net = EnsembleNetwork(intel_ipsc(N_CUBE))
     mixed_code_transpose_combined(comb_net, dm, after)
     return naive_net.time, comb_net.time
 

@@ -12,7 +12,7 @@ import numpy as np
 from benchmarks.reporting import emit_table, ms
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork
+from repro.machine import EnsembleNetwork
 from repro.machine.presets import connection_machine, intel_ipsc
 from repro.transpose.two_dim import two_dim_transpose_router
 
@@ -25,7 +25,7 @@ def run_one(n: int, machine_factory) -> float:
     dm = DistributedMatrix.from_global(
         np.zeros((1 << half, 1 << half), dtype=np.float32), layout
     )
-    net = CubeNetwork(machine_factory(n))
+    net = EnsembleNetwork(machine_factory(n))
     two_dim_transpose_router(net, dm, layout)
     return net.time
 

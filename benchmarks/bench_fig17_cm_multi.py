@@ -11,7 +11,7 @@ import numpy as np
 from benchmarks.reporting import emit_table, ms
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork
+from repro.machine import EnsembleNetwork
 from repro.machine.presets import connection_machine
 from repro.transpose.two_dim import two_dim_transpose_router
 
@@ -27,7 +27,7 @@ def run_one(n: int, epp: int) -> float:
     dm = DistributedMatrix.from_global(
         np.zeros((1 << (half + extra), 1 << half), dtype=np.float32), layout
     )
-    net = CubeNetwork(connection_machine(n))
+    net = EnsembleNetwork(connection_machine(n))
     two_dim_transpose_router(net, dm, after)
     return net.time
 

@@ -12,7 +12,7 @@ import numpy as np
 from benchmarks.reporting import emit_table, ms
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork
+from repro.machine import EnsembleNetwork
 from repro.machine.presets import connection_machine
 from repro.transpose.two_dim import two_dim_transpose_router
 
@@ -26,7 +26,7 @@ def run_one(p: int, q: int, n: int) -> float:
     dm = DistributedMatrix.from_global(
         np.zeros((1 << p, 1 << q), dtype=np.float32), layout
     )
-    net = CubeNetwork(connection_machine(n))
+    net = EnsembleNetwork(connection_machine(n))
     two_dim_transpose_router(net, dm, layout)
     return net.time
 

@@ -14,7 +14,7 @@ import numpy as np
 from benchmarks.reporting import emit_table, ms
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork
+from repro.machine import EnsembleNetwork
 from repro.machine.presets import intel_ipsc
 from repro.transpose.exchange import BufferPolicy
 from repro.transpose.one_dim import one_dim_transpose_exchange
@@ -36,7 +36,7 @@ def run_pair(total_bits: int, n: int, *, with_copy: bool) -> tuple[float, float]
     before_1d = pt.row_consecutive(p, q, n)
     after_1d = pt.row_consecutive(q, p, n)
     dm1 = DistributedMatrix.from_global(np.zeros((1 << p, 1 << q)), before_1d)
-    net1 = CubeNetwork(params)
+    net1 = EnsembleNetwork(params)
     # With copy costs in force the optimum-threshold policy applies;
     # with copies free, full buffering dominates (one message per step).
     mode = "threshold" if with_copy else "buffered"
@@ -47,7 +47,7 @@ def run_pair(total_bits: int, n: int, *, with_copy: bool) -> tuple[float, float]
     half = n // 2
     lay2 = pt.two_dim_cyclic(p, q, half, half)
     dm2 = DistributedMatrix.from_global(np.zeros((1 << p, 1 << q)), lay2)
-    net2 = CubeNetwork(params)
+    net2 = EnsembleNetwork(params)
     two_dim_transpose_spt(net2, dm2, lay2, charge_copy=with_copy)
     return net1.time, net2.time
 

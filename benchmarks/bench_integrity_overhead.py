@@ -18,7 +18,7 @@ Two sweeps on the MPT transpose:
 
 from benchmarks.reporting import emit_table, ms
 from repro.integrity import IntegrityConfig, IntegrityManager
-from repro.machine import CubeNetwork
+from repro.machine import EnsembleNetwork
 from repro.machine.faults import CorruptionFault, FaultError, FaultPlan
 from repro.machine.presets import connection_machine
 from repro.plans.batch import resolve_problem
@@ -37,7 +37,7 @@ def run_once(*, faults=None, integrity=None):
     before, after = resolve_problem(N, ELEMENTS, "2d")
     matrix = synthetic_matrix(before)
     original = matrix.to_global()
-    network = CubeNetwork(params, faults=faults, integrity=integrity)
+    network = EnsembleNetwork(params, faults=faults, integrity=integrity)
     result = transpose(network, matrix, after, algorithm=ALGORITHM)
     assert result.verify_against(original)
     return network.stats
@@ -73,7 +73,7 @@ def sweep_intensity():
             N,
             corruption_faults=(CorruptionFault(0, 1, rate=rate, seed=9),),
         )
-        network = CubeNetwork(connection_machine(N), faults=fault)
+        network = EnsembleNetwork(connection_machine(N), faults=fault)
         before, after = resolve_problem(N, ELEMENTS, "2d")
         matrix = synthetic_matrix(before)
         original = matrix.to_global()

@@ -13,7 +13,7 @@ from repro.comm.all_to_all import (
 )
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.machine.params import PortModel
 from repro.transpose.two_dim import (
     two_dim_transpose_dpt,
@@ -57,7 +57,7 @@ def transpose_cases():
             PortModel.N_PORT,
         ),
     ]:
-        net = CubeNetwork(machine(port))
+        net = EnsembleNetwork(machine(port))
         fn(net, dm)
         bound = transpose_lower_bound(net.params, M)
         out.append([name, net.time, bound, net.time / bound])
@@ -72,7 +72,7 @@ def a2a_cases():
         ("exchange", all_to_all_exchange, PortModel.ONE_PORT),
         ("SBnT", all_to_all_sbnt, PortModel.N_PORT),
     ]:
-        net = CubeNetwork(machine(port))
+        net = EnsembleNetwork(machine(port))
         all_to_all_personalized_data(net, K)
         runner(net)
         bound = all_to_all_lower_bound(net.params, M)

@@ -22,7 +22,7 @@ restart.
 """
 
 from benchmarks.reporting import emit_table
-from repro.machine import CubeNetwork, FaultPlan
+from repro.machine import EnsembleNetwork, FaultPlan
 from repro.machine.faults import FaultError
 from repro.machine.presets import connection_machine
 from repro.plans.batch import resolve_problem
@@ -81,7 +81,7 @@ def depth_specs(plan) -> list[str]:
 
 def restart_replay_bill(params, plan, faults) -> int:
     """Phases a restart-based executor would discard at the first fault."""
-    network = CubeNetwork(params, faults=faults)
+    network = EnsembleNetwork(params, faults=faults)
     try:
         replay_plan(plan, network)
     except FaultError:
@@ -98,7 +98,7 @@ def sweep_depth():
         faults = FaultPlan.from_spec(N, spec)
         restart = restart_replay_bill(params, plan, faults)
         outcome = execute_with_recovery(
-            plan, CubeNetwork(params, faults=faults), policy=policy
+            plan, EnsembleNetwork(params, faults=faults), policy=policy
         )
         assert outcome.verified
         rows.append(
@@ -126,7 +126,7 @@ def sweep_cadence():
     for every in (1, 2, 4, 8, 16):
         outcome = execute_with_recovery(
             plan,
-            CubeNetwork(params, faults=faults),
+            EnsembleNetwork(params, faults=faults),
             policy=RecoveryPolicy(checkpoint_every=every),
         )
         assert outcome.verified

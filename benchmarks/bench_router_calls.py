@@ -13,7 +13,7 @@ import numpy as np
 from benchmarks.reporting import emit_table, ms
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork
+from repro.machine import EnsembleNetwork
 from repro.machine.message import Block
 from repro.machine.presets import intel_ipsc
 from repro.machine.routing import RoutedTransfer, route_messages
@@ -27,7 +27,7 @@ def run_router(n: int, bits: int) -> float:
     """Every (src, dst) sub-block as an individual routed message."""
     N = 1 << n
     per_pair = max(1, (1 << bits) // (N * N))
-    net = CubeNetwork(intel_ipsc(n))
+    net = EnsembleNetwork(intel_ipsc(n))
     transfers = []
     for src in range(N):
         for dst in range(N):
@@ -46,7 +46,7 @@ def run_buffered(n: int, bits: int) -> float:
     dm = DistributedMatrix.from_global(
         np.zeros((1 << p, 1 << (bits - p))), before
     )
-    net = CubeNetwork(intel_ipsc(n))
+    net = EnsembleNetwork(intel_ipsc(n))
     one_dim_transpose_exchange(
         net, dm, after, policy=BufferPolicy(mode="threshold")
     )

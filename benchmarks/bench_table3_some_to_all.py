@@ -13,7 +13,7 @@ import pytest
 from benchmarks.reporting import emit_table
 from repro.analysis.models import some_to_all_time
 from repro.comm.all_to_some import some_to_all_scatter
-from repro.machine import Block, CubeNetwork, custom_machine
+from repro.machine import Block, EnsembleNetwork, custom_machine
 
 N_CUBE = 4
 ELEMENTS = 8  # per (source, destination) pair
@@ -30,7 +30,7 @@ def load(net, split_dims):
 
 def run_case(k: int, l: int, split_first: bool) -> float:
     params = custom_machine(N_CUBE, tau=3.0, t_c=1.0)
-    net = CubeNetwork(params)
+    net = EnsembleNetwork(params)
     split_dims = list(range(N_CUBE - 1, N_CUBE - 1 - k, -1))
     a2a_dims = list(range(l))
     load(net, split_dims)

@@ -15,7 +15,7 @@ from repro.analysis.bounds import transpose_lower_bound
 from repro.analysis.models import mpt_min_time
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.machine.params import PortModel
 
 CASES = [
@@ -45,7 +45,7 @@ def run_case(n: int, bits: int) -> tuple[float, float, float]:
     dm = DistributedMatrix.from_global(
         np.zeros((1 << p, 1 << (bits - p))), layout
     )
-    net = CubeNetwork(params)
+    net = EnsembleNetwork(params)
     two_dim_transpose_mpt(net, dm, layout, rounds=k)
     return net.time, mpt_min_time(params, M), transpose_lower_bound(params, M)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro import (
     BufferPolicy,
-    CubeNetwork,
+    EnsembleNetwork,
     DistributedMatrix,
     intel_ipsc,
     row_consecutive,
@@ -87,7 +87,7 @@ class DistributedAdi:
         self.comm_time = 0.0
 
     def _transpose(self, dm: DistributedMatrix) -> DistributedMatrix:
-        net = CubeNetwork(intel_ipsc(CUBE_DIM))
+        net = EnsembleNetwork(intel_ipsc(CUBE_DIM))
         out = one_dim_transpose_exchange(
             net, dm, self.row_layout, policy=self.policy
         )

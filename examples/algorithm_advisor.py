@@ -11,7 +11,7 @@ Run:  python examples/algorithm_advisor.py
 
 import numpy as np
 
-from repro import CubeNetwork, DistributedMatrix, transpose, two_dim_cyclic, row_consecutive
+from repro import EnsembleNetwork, DistributedMatrix, transpose, two_dim_cyclic, row_consecutive
 from repro.analysis.report import estimate_transpose_options, format_report
 from repro.machine.presets import connection_machine, intel_ipsc
 
@@ -26,7 +26,7 @@ def check_prediction(machine, M_bits: int) -> tuple[str, float, float]:
     else:
         layout = two_dim_cyclic(p, M_bits - p, n // 2, n // 2)
     A = np.zeros((1 << p, 1 << (M_bits - p)))
-    net = CubeNetwork(machine)
+    net = EnsembleNetwork(machine)
     result = transpose(net, DistributedMatrix.from_global(A, layout))
     return best.name, best.time, net.time
 

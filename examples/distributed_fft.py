@@ -19,7 +19,7 @@ Run:  python examples/distributed_fft.py
 
 import numpy as np
 
-from repro import CubeNetwork, DistributedMatrix, Layout, ProcField, intel_ipsc
+from repro import EnsembleNetwork, DistributedMatrix, Layout, ProcField, intel_ipsc
 from repro.machine import Block, Message
 from repro.permute.bit_reversal import bit_reversal_permute
 
@@ -49,7 +49,7 @@ def distributed_fft(x: np.ndarray) -> tuple[np.ndarray, float]:
         x.astype(np.complex128).reshape(-1, 1), layout
     )
     local = dm.local_data.copy()  # shape (N, L); slot j holds sample bits
-    net = CubeNetwork(intel_ipsc(CUBE_DIM))
+    net = EnsembleNetwork(intel_ipsc(CUBE_DIM))
     N, L = local.shape
     m = M_BITS
 

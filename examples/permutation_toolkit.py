@@ -16,7 +16,7 @@ Run:  python examples/permutation_toolkit.py
 
 import numpy as np
 
-from repro import CubeNetwork, DistributedMatrix, custom_machine, two_dim_cyclic
+from repro import EnsembleNetwork, DistributedMatrix, custom_machine, two_dim_cyclic
 from repro.codes.bits import bit_reverse
 from repro.cube.paths import transpose_partner
 from repro.machine.params import PortModel
@@ -32,7 +32,7 @@ N_CUBE = 4
 
 
 def machine():
-    return CubeNetwork(
+    return EnsembleNetwork(
         custom_machine(N_CUBE, tau=2.0, t_c=1.0, port_model=PortModel.N_PORT)
     )
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro import (
     BufferPolicy,
-    CubeNetwork,
+    EnsembleNetwork,
     DistributedMatrix,
     intel_ipsc,
     row_consecutive,
@@ -74,7 +74,7 @@ class DistributedPoissonSolver:
         self.eigen_x = 2.0 * np.cos(2.0 * np.pi * k / n_grid) - 2.0
 
     def _transpose(self, dm: DistributedMatrix) -> DistributedMatrix:
-        net = CubeNetwork(intel_ipsc(CUBE_DIM))
+        net = EnsembleNetwork(intel_ipsc(CUBE_DIM))
         out = one_dim_transpose_exchange(net, dm, self.layout, policy=self.policy)
         self.comm_time += net.time
         return out

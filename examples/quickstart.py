@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import (
-    CubeNetwork,
+    EnsembleNetwork,
     DistributedMatrix,
     connection_machine,
     intel_ipsc,
@@ -31,7 +31,7 @@ def main() -> None:
     print(f"machine: {1 << layout.n} processors, {layout.local_size} elements each\n")
 
     for preset in (intel_ipsc, connection_machine):
-        net = CubeNetwork(preset(layout.n))
+        net = EnsembleNetwork(preset(layout.n))
         dm = DistributedMatrix.from_global(A, layout)
         result = transpose(net, dm)
         ok = result.verify_against(A)
@@ -47,7 +47,7 @@ def main() -> None:
     from repro import row_consecutive
 
     layout_1d = row_consecutive(p=6, q=6, n=4)
-    net = CubeNetwork(intel_ipsc(4))
+    net = EnsembleNetwork(intel_ipsc(4))
     result = transpose(net, DistributedMatrix.from_global(A, layout_1d))
     print(f"1D layout -> {result.algorithm} ({result.comm_class.value}), "
           f"correct: {result.verify_against(A)}")

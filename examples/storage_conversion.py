@@ -19,7 +19,7 @@ import numpy as np
 
 from repro import (
     BufferPolicy,
-    CubeNetwork,
+    EnsembleNetwork,
     DistributedMatrix,
     classify_transpose,
     column_consecutive,
@@ -76,7 +76,7 @@ def main() -> None:
         after = FORMS[dst]()  # applied to the transposed matrix
         info = classify_transpose(before, after)
         dm = DistributedMatrix.from_global(A, before)
-        net = CubeNetwork(intel_ipsc(N_CUBE))
+        net = EnsembleNetwork(intel_ipsc(N_CUBE))
         out = exchange_transpose(net, dm, after, policy=policy)
         assert np.array_equal(out.to_global(), A.T), (src, dst)
         fan = logical_fanout(before, after)

@@ -9,14 +9,14 @@ Quick start::
 
     import numpy as np
     from repro import (
-        CubeNetwork, DistributedMatrix, intel_ipsc, transpose,
+        EnsembleNetwork, DistributedMatrix, intel_ipsc, transpose,
         two_dim_cyclic,
     )
 
     layout = two_dim_cyclic(p=5, q=5, n_r=2, n_c=2)
     A = np.random.default_rng(0).standard_normal((32, 32))
     dm = DistributedMatrix.from_global(A, layout)
-    net = CubeNetwork(intel_ipsc(layout.n))
+    net = EnsembleNetwork(intel_ipsc(layout.n))
     result = transpose(net, dm)
     assert result.verify_against(A)
     print(result.algorithm, result.stats.summary())
@@ -38,7 +38,7 @@ from repro.layout.partition import (
     two_dim_cyclic,
     two_dim_mixed,
 )
-from repro.machine.engine import CubeNetwork, EnsembleNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.params import MachineParams, PortModel
 from repro.machine.presets import connection_machine, custom_machine, intel_ipsc
 from repro.topology import (
@@ -92,7 +92,6 @@ __all__ = [
     "ChromeTraceSink",
     "CommClass",
     "CompiledPlan",
-    "CubeNetwork",
     "DistributedMatrix",
     "EnsembleNetwork",
     "Hypercube",

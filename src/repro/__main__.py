@@ -160,7 +160,7 @@ def _build_cli_pipeline(args, topo):
 
 def _run_workload(args, topo) -> int:
     """``repro run --workload``: execute a pipeline on real data."""
-    from repro import CubeNetwork
+    from repro import EnsembleNetwork
     from repro.machine.faults import FaultError, FaultPlan, RoutingStalledError
 
     pipeline = _build_cli_pipeline(args, topo)
@@ -205,7 +205,7 @@ def _run_workload(args, topo) -> int:
     else:
         rng = np.random.default_rng(0)
         A = rng.standard_normal((pipeline.shape.rows, pipeline.shape.cols))
-        net = CubeNetwork(_machine(args))
+        net = EnsembleNetwork(_machine(args))
         if instr is not None:
             instr.attach(net)
         result = pipeline.execute(net, A)
@@ -264,7 +264,7 @@ def _run_workload(args, topo) -> int:
 
 
 def cmd_run(args) -> int:
-    from repro import CubeNetwork, DistributedMatrix, transpose
+    from repro import EnsembleNetwork, DistributedMatrix, transpose
     from repro.machine.faults import FaultError, FaultPlan, RoutingStalledError
 
     topo = _topology(args)
@@ -290,7 +290,7 @@ def cmd_run(args) -> int:
 
     rng = np.random.default_rng(0)
     A = rng.standard_normal((1 << layout.p, 1 << layout.q))
-    net = CubeNetwork(_machine(args), faults=faults, topology=topo)
+    net = EnsembleNetwork(_machine(args), faults=faults, topology=topo)
     if args.checkpoint_every:
         from repro.recovery import CheckpointManager
 
@@ -463,7 +463,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    from repro import CubeNetwork
+    from repro import EnsembleNetwork
     from repro.machine.faults import FaultError, FaultPlan, RoutingStalledError
     from repro.plans.ir import CompiledPlan, PlanError
     from repro.plans.replay import PlanReplayError, replay_plan
@@ -501,7 +501,7 @@ def cmd_replay(args) -> int:
 
     recovery_doc = None
     verified = None
-    network = CubeNetwork(plan.machine.to_params(), faults=faults, topology=topo)
+    network = EnsembleNetwork(plan.machine.to_params(), faults=faults, topology=topo)
     if args.recover is not None:
         from repro.recovery import (
             RecoveryFailedError,

@@ -14,7 +14,7 @@ its own private data — no broadcast sharing.  Three patterns appear:
   per Theorem 1.
 
 All functions move real blocks through a
-:class:`~repro.machine.engine.CubeNetwork` and return nothing — time and
+:class:`~repro.machine.engine.EnsembleNetwork` and return nothing — time and
 traffic are read off ``network.stats``.
 """
 

@@ -33,7 +33,7 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from repro.cube.trees import sbnt_route_dims
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.message import Block, Message
 
 __all__ = [
@@ -51,7 +51,7 @@ def _destination(key: Hashable) -> int:
 
 
 def all_to_all_personalized_data(
-    network: CubeNetwork, elements_per_pair: int
+    network: EnsembleNetwork, elements_per_pair: int
 ) -> None:
     """Load every node with a private block for every other node.
 
@@ -74,7 +74,7 @@ def all_to_all_personalized_data(
 
 
 def dimension_sweep(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     dims: Sequence[int],
     *,
     dest_of: Callable[[Hashable], int] = _destination,
@@ -108,7 +108,7 @@ def dimension_sweep(
 
 
 def all_to_all_exchange(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     *,
     dest_of: Callable[[Hashable], int] = _destination,
     descending: bool = True,
@@ -120,7 +120,7 @@ def all_to_all_exchange(
 
 
 def all_to_all_pipelined_exchange(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     *,
     dest_of: Callable[[Hashable], int] = _destination,
 ) -> int:
@@ -171,7 +171,7 @@ def all_to_all_pipelined_exchange(
 
 
 def all_to_all_sbnt_distributed(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     *,
     dest_of: Callable[[Hashable], int] = _destination,
 ) -> int:
@@ -241,7 +241,7 @@ def all_to_all_sbnt_distributed(
 
 
 def all_to_all_sbnt(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     *,
     dest_of: Callable[[Hashable], int] = _destination,
 ) -> int:

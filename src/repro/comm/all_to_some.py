@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Hashable, Sequence
 
 from repro.comm.all_to_all import dimension_sweep
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 
 __all__ = ["some_to_all_scatter", "all_to_some_gather"]
 
@@ -27,7 +27,7 @@ def _destination(key: Hashable) -> int:
     return key[2]
 
 
-def _check_dims(network: CubeNetwork, split_dims, a2a_dims) -> None:
+def _check_dims(network: EnsembleNetwork, split_dims, a2a_dims) -> None:
     n = network.params.n
     s, a = set(split_dims), set(a2a_dims)
     if s & a:
@@ -38,7 +38,7 @@ def _check_dims(network: CubeNetwork, split_dims, a2a_dims) -> None:
 
 
 def some_to_all_scatter(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     split_dims: Sequence[int],
     a2a_dims: Sequence[int],
     *,
@@ -64,7 +64,7 @@ def some_to_all_scatter(
 
 
 def all_to_some_gather(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     gather_dims: Sequence[int],
     a2a_dims: Sequence[int],
     *,

@@ -15,14 +15,14 @@ from typing import Callable, Hashable
 import numpy as np
 
 from repro.cube.trees import SpanningTree
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.message import Block, Message
 
 __all__ = ["gather_data", "gather_tree"]
 
 
 def gather_data(
-    network: CubeNetwork, root: int, elements_per_node: int
+    network: EnsembleNetwork, root: int, elements_per_node: int
 ) -> None:
     """Load every non-root node with one private block for the root.
 
@@ -41,7 +41,7 @@ def gather_data(
 
 
 def gather_tree(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     tree: SpanningTree,
     *,
     origin_of: Callable[[Hashable], int] = lambda key: key[1],

@@ -22,7 +22,7 @@ from typing import Callable, Hashable
 import numpy as np
 
 from repro.cube.trees import SpanningTree, spanning_binomial_tree
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.message import Block, Message
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
 
 
 def personalized_data(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     root: int,
     elements_per_node: int,
     *,
@@ -66,7 +66,7 @@ def _destination(key: Hashable) -> int:
 
 
 def scatter_tree(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     tree: SpanningTree,
     *,
     dest_of: Callable[[Hashable], int] = _destination,
@@ -105,7 +105,7 @@ def _child_of(tree: SpanningTree, node: int, dst: int) -> int:
 
 
 def _scatter_subtree(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     tree: SpanningTree,
     keys: list[Hashable],
     dest_of: Callable[[Hashable], int],
@@ -142,7 +142,7 @@ def _scatter_subtree(
 
 
 def _scatter_reverse_bfs(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     tree: SpanningTree,
     keys: list[Hashable],
     dest_of: Callable[[Hashable], int],
@@ -172,7 +172,7 @@ def _scatter_reverse_bfs(
 
 
 def scatter_rotated_sbts(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     root: int,
     *,
     parts: int | None = None,
@@ -213,7 +213,7 @@ class _ReverseBfsStepper:
 
     def __init__(
         self,
-        network: CubeNetwork,
+        network: EnsembleNetwork,
         tree: SpanningTree,
         dest_of: Callable[[Hashable], int],
         part: int,
@@ -250,7 +250,7 @@ class _ReverseBfsStepper:
 
 
 def scatter_sbnt(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     tree: SpanningTree,
     *,
     dest_of: Callable[[Hashable], int] = _destination,

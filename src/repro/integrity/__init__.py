@@ -8,7 +8,7 @@ closes that hole end to end:
   block keys, the seeded checksum-visible damage model, and the memory
   digest that seals checkpoints;
 * :mod:`repro.integrity.manager` — the ARQ delivery path armed inside
-  ``CubeNetwork.execute_phase``: checksum at send, verify at delivery,
+  ``EnsembleNetwork.execute_phase``: checksum at send, verify at delivery,
   retransmit within a bounded budget (each retransmission re-occupies
   the link and is priced by the cost model), then quarantine the link
   and escalate with a typed error;

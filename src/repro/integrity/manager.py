@@ -1,6 +1,6 @@
 """The ARQ delivery path: checksum, verify, retransmit, quarantine.
 
-One :class:`IntegrityManager` per :class:`~repro.machine.engine.CubeNetwork`
+One :class:`IntegrityManager` per :class:`~repro.machine.engine.EnsembleNetwork`
 arms end-to-end checksums: every message is checksummed at send time and
 verified at delivery inside ``execute_phase``.  A delivery struck by an
 active :class:`~repro.machine.faults.CorruptionFault` fails verification

@@ -10,7 +10,7 @@ copy cost ``t_copy`` per element, and a one-port or n-port, bidirectional
 port model.
 
 Algorithms express themselves as *phases* of neighbour-to-neighbour
-messages; :class:`~repro.machine.engine.CubeNetwork` executes a phase,
+messages; :class:`~repro.machine.engine.EnsembleNetwork` executes a phase,
 verifies that every message crosses a real cube edge without link
 conflicts, physically moves the payload blocks between node memories, and
 charges time.  :mod:`repro.machine.routing` adds the store-and-forward
@@ -34,16 +34,11 @@ from repro.machine.faults import (
     RoutingStalledError,
 )
 from repro.machine.trace import PhaseEvent, TraceRecorder
-from repro.machine.engine import (
-    CubeNetwork,
-    EnsembleNetwork,
-    LinkConflictError,
-)
+from repro.machine.engine import EnsembleNetwork, LinkConflictError
 from repro.machine.routing import route_messages
 
 __all__ = [
     "Block",
-    "CubeNetwork",
     "DisconnectedCubeError",
     "EnsembleNetwork",
     "FaultError",

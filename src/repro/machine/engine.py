@@ -20,7 +20,7 @@ messages to cube neighbours; the engine
    * phase time = maximum over these loads; total time accumulates.
 
 Local work (buffer copies, local transposes) is charged through
-:meth:`CubeNetwork.execute_local`, which takes per-node costs and adds the
+:meth:`EnsembleNetwork.execute_local`, which takes per-node costs and adds the
 maximum (nodes work concurrently).
 """
 
@@ -39,7 +39,7 @@ from repro.machine.metrics import TransferStats
 from repro.machine.params import MachineParams, PortModel
 from repro.topology import Hypercube, Topology
 
-__all__ = ["CubeNetwork", "EnsembleNetwork", "LinkConflictError"]
+__all__ = ["EnsembleNetwork", "LinkConflictError"]
 
 
 class LinkConflictError(RuntimeError):
@@ -51,9 +51,8 @@ class EnsembleNetwork:
 
     The interconnect is a :class:`~repro.topology.base.Topology`; the
     default is the Boolean n-cube of the machine's dimension, which
-    preserves the historical :class:`CubeNetwork` behaviour bit-for-bit
-    (``CubeNetwork`` remains as an alias).  The topology's structural
-    invariants are validated at construction.
+    preserves the historical cube-only behaviour bit-for-bit.  The
+    topology's structural invariants are validated at construction.
 
     Messages sharing a directed link within a phase serialize on it (each
     keeps its own start-ups) — that is the §8.1 unbuffered send pattern.
@@ -408,12 +407,6 @@ class EnsembleNetwork:
             if key in mem:
                 return x
         raise KeyError(f"block {key!r} is not in any node memory")
-
-
-#: Historical name: every network used to be a Boolean cube.  The alias
-#: keeps two PR-generations of call sites (and subclasses such as
-#: :class:`repro.plans.recorder.RecordingNetwork`) working unchanged.
-CubeNetwork = EnsembleNetwork
 
 
 def exchange_messages(

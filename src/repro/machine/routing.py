@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from repro.integrity.errors import CorruptedDeliveryError
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.faults import (
     FaultPlan,
     NodeFailureError,
@@ -86,7 +86,7 @@ class _Pending:
 
 
 def route_messages(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     transfers: Sequence[RoutedTransfer],
     *,
     ascending: bool = True,

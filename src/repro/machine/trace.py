@@ -1,6 +1,6 @@
 """Execution tracing: record what a schedule actually did, phase by phase.
 
-Attach a :class:`TraceRecorder` to a :class:`~repro.machine.engine.CubeNetwork`
+Attach a :class:`TraceRecorder` to an :class:`~repro.machine.engine.EnsembleNetwork`
 (``net.observer = TraceRecorder()``) and every communication phase and
 local charge is logged with its messages, sizes and duration.  The
 renderer prints a per-phase timeline — which dimension carried what,

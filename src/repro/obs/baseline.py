@@ -200,7 +200,7 @@ def run_scenario(
     to every network the scenario creates, so a baseline run can double
     as a trace-export run.
     """
-    from repro.machine.engine import CubeNetwork
+    from repro.machine.engine import EnsembleNetwork
     from repro.machine.faults import FaultPlan
     from repro.plans.batch import resolve_problem
     from repro.plans.cache import PlanCache
@@ -313,7 +313,7 @@ def run_scenario(
             from repro.integrity import IntegrityManager
 
             integrity = IntegrityManager()
-        network = CubeNetwork(
+        network = EnsembleNetwork(
             params, faults=faults, integrity=integrity, topology=topo
         )
         if observer is not None:

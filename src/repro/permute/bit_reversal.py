@@ -11,7 +11,7 @@ distance classification of Lemma 6) carries over unchanged.
 from __future__ import annotations
 
 from repro.layout.matrix import DistributedMatrix
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.obs.instrumentation import instrumentation_of
 from repro.transpose.exchange import BufferPolicy, ExchangeExecutor
 
@@ -26,7 +26,7 @@ def bit_reversal_pairs(m: int) -> list[tuple[int, int]]:
 
 
 def bit_reversal_permute(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     dm: DistributedMatrix,
     *,
     policy: BufferPolicy | None = None,

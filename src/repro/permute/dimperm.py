@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.message import Block, Message
 from repro.obs.instrumentation import instrumentation_of
 
@@ -74,7 +74,7 @@ def decompose_parallel_swappings(
 
 
 def apply_dimension_permutation(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     local_data: np.ndarray,
     delta: Sequence[int],
     *,

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.comm.all_to_all import all_to_all_exchange
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.message import Block
 from repro.obs.instrumentation import instrumentation_of
 
@@ -25,7 +25,7 @@ __all__ = ["arbitrary_node_permutation"]
 
 
 def arbitrary_node_permutation(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     local_data: np.ndarray,
     pi: Sequence[int],
     *,

@@ -1,6 +1,6 @@
 """Capture a running algorithm into a :class:`CompiledPlan`.
 
-:class:`RecordingNetwork` is a drop-in :class:`~repro.machine.engine.CubeNetwork`
+:class:`RecordingNetwork` is a drop-in :class:`~repro.machine.engine.EnsembleNetwork`
 that logs every operation an algorithm performs — communication phases,
 block placements and collections, local-work charges — as plan ops.  No
 algorithm needs modification: the one_dim/two_dim/exchange/mixed/routed
@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.layout.fields import Layout
 from repro.layout.matrix import DistributedMatrix
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.message import Block, Message
 from repro.machine.params import MachineParams
 from repro.plans.ir import (
@@ -120,7 +120,7 @@ class _RecordingMemory:
         return len(self._mem)
 
 
-class RecordingNetwork(CubeNetwork):
+class RecordingNetwork(EnsembleNetwork):
     """A cube network that compiles whatever runs on it into a plan.
 
     Only *successful* operations are recorded: an aborted phase (link

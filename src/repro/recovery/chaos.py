@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.faults import (
     DisconnectedCubeError,
     FaultError,
@@ -320,7 +320,7 @@ def run_chaos(
         )
         payloads = recorder.payloads
         clean_outcome = execute_with_recovery(
-            plan, CubeNetwork(params), policy=policy, payloads=payloads
+            plan, EnsembleNetwork(params), policy=policy, payloads=payloads
         )
 
     cache = PlanCache(capacity=32)
@@ -405,7 +405,7 @@ def _live_verifies(
 
     matrix = synthetic_matrix(before)
     original = matrix.to_global()
-    network = CubeNetwork(params, faults=faults, topology=topology)
+    network = EnsembleNetwork(params, faults=faults, topology=topology)
     network.checkpoints = CheckpointManager(
         every=policy.checkpoint_every, retain=policy.max_checkpoints
     )
@@ -427,7 +427,7 @@ def _replay_trial(
 ) -> ChaosTrial:
     if not faults.surviving_connected():
         return ChaosTrial(seed, "replay", "rejected-disconnected")
-    network = CubeNetwork(params, faults=faults)
+    network = EnsembleNetwork(params, faults=faults)
     try:
         outcome = execute_with_recovery(
             plan, network, policy=policy, payloads=payloads

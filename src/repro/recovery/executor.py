@@ -41,7 +41,7 @@ from typing import Hashable, Mapping
 import numpy as np
 
 from repro.integrity.errors import CorruptedCheckpointError
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.faults import (
     FaultError,
     FaultKind,
@@ -162,7 +162,7 @@ def outcomes_equivalent(a: RecoveryOutcome, b: RecoveryOutcome) -> bool:
 
 def execute_with_recovery(
     plan: CompiledPlan,
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     *,
     policy: RecoveryPolicy | None = None,
     payloads: Mapping[Hashable, list] | None = None,
@@ -270,7 +270,7 @@ def execute_with_recovery(
 
 def _execute_op(
     op: PlanOp,
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     mask: int,
     payloads: Mapping[Hashable, list] | None,
     consumed: dict,
@@ -360,7 +360,7 @@ def _rollback(
 
 def _handle_fault(
     exc: FaultError,
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     policy: RecoveryPolicy,
     manager: CheckpointManager,
     report: RecoveryReport,

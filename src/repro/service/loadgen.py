@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.obs.ops import format_prometheus
 from repro.plans.batch import BatchRequest
 from repro.plans.recorder import capture_transpose, synthetic_matrix
@@ -212,7 +212,7 @@ def solo_fingerprint(request: TransposeRequest) -> str:
             elements=request.problem.elements,
         )
         plan, _ = pipeline.compile(resolved.params)
-        network = CubeNetwork(resolved.params)
+        network = EnsembleNetwork(resolved.params)
         replay_plan(plan, network)
         return stats_fingerprint(network.stats)
     target = (
@@ -226,7 +226,7 @@ def solo_fingerprint(request: TransposeRequest) -> str:
         target,
         algorithm=resolved.algorithm,
     )
-    network = CubeNetwork(resolved.params)
+    network = EnsembleNetwork(resolved.params)
     replay_plan(plan, network)
     return stats_fingerprint(network.stats)
 
@@ -261,7 +261,7 @@ def solo_payload_check(request: TransposeRequest) -> dict:
         original = np.arange(rows * cols, dtype=np.float64).reshape(
             rows, cols
         )
-        network = CubeNetwork(resolved.params)
+        network = EnsembleNetwork(resolved.params)
         served = pipeline.execute(network, original)
         served_bytes = np.ascontiguousarray(served).tobytes()
         expected_bytes = np.ascontiguousarray(
@@ -282,7 +282,7 @@ def solo_payload_check(request: TransposeRequest) -> dict:
     )
     matrix = synthetic_matrix(resolved.before)
     original = matrix.to_global()
-    network = CubeNetwork(resolved.params)
+    network = EnsembleNetwork(resolved.params)
     result = transpose(network, matrix, target, algorithm=resolved.algorithm)
     served_bytes = np.ascontiguousarray(result.matrix.to_global()).tobytes()
     expected_bytes = np.ascontiguousarray(original.T).tobytes()

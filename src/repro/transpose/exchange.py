@@ -13,7 +13,7 @@ dimensions live (Lemma 6):
 
 :class:`ExchangeExecutor` executes a sequence of such steps on a
 :class:`~repro.layout.matrix.DistributedMatrix`, moving real data through
-the :class:`~repro.machine.engine.CubeNetwork` (which prices it and
+the :class:`~repro.machine.engine.EnsembleNetwork` (which prices it and
 enforces the topology).  The *before* layout fixes the location-address
 frame for the whole run; a datum's location address evolves by the step
 involutions, and the final frame is reinterpreted under the target
@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.layout.fields import Layout
 from repro.layout.matrix import DistributedMatrix
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.message import Block, Message
 from repro.obs.instrumentation import instrumentation_of
 
@@ -98,7 +98,7 @@ class ExchangeExecutor:
 
     def __init__(
         self,
-        network: CubeNetwork,
+        network: EnsembleNetwork,
         dm: DistributedMatrix,
         *,
         policy: BufferPolicy | None = None,
@@ -404,7 +404,7 @@ def strip_encoding(layout: Layout) -> Layout:
 
 
 def exchange_transpose(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     dm: DistributedMatrix,
     after: Layout,
     *,
@@ -439,7 +439,7 @@ def exchange_transpose(
 
 
 def convert_layout(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     dm: DistributedMatrix,
     after: Layout,
     *,
@@ -482,7 +482,7 @@ def convert_layout(
 
 
 def _exchange_remap(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     dm: DistributedMatrix,
     after: Layout,
     *,

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.layout.fields import Layout
 from repro.layout.matrix import DistributedMatrix
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.message import Block
 from repro.machine.routing import RoutedTransfer, route_messages
 
@@ -26,7 +26,7 @@ __all__ = ["routed_universal_transpose"]
 
 
 def routed_universal_transpose(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     dm: DistributedMatrix,
     after: Layout,
 ) -> DistributedMatrix:

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.layout.fields import Layout
 from repro.layout.matrix import DistributedMatrix
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.message import Block, Message
 from repro.transpose.two_dim import pairwise_maps
 
@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-def _setup(network: CubeNetwork, dm: DistributedMatrix, after: Layout):
+def _setup(network: EnsembleNetwork, dm: DistributedMatrix, after: Layout):
     before = dm.layout
     if network.params.n != before.n:
         raise ValueError("network dimension does not match the layout")
@@ -45,7 +45,7 @@ def _setup(network: CubeNetwork, dm: DistributedMatrix, after: Layout):
 
 
 def _correction_phase(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     cur: np.ndarray,
     partner: np.ndarray,
     dim: int,
@@ -64,7 +64,7 @@ def _correction_phase(
         cur[x] = dst
 
 
-def _place_blocks(network: CubeNetwork, dm: DistributedMatrix) -> None:
+def _place_blocks(network: EnsembleNetwork, dm: DistributedMatrix) -> None:
     # Every node participates: even a block whose final destination is its
     # own node can travel through intermediate conversion stages.
     for x in range(dm.layout.num_procs):
@@ -72,7 +72,7 @@ def _place_blocks(network: CubeNetwork, dm: DistributedMatrix) -> None:
 
 
 def _collect(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     dm: DistributedMatrix,
     after: Layout,
     partner: np.ndarray,
@@ -88,7 +88,7 @@ def _collect(
 
 
 def mixed_code_transpose_combined(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     dm: DistributedMatrix,
     after: Layout,
     *,
@@ -182,7 +182,7 @@ def mixed_code_transpose_combined(
 
 
 def mixed_code_transpose_naive(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     dm: DistributedMatrix,
     after: Layout,
 ) -> DistributedMatrix:

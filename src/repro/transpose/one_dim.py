@@ -26,7 +26,7 @@ import numpy as np
 from repro.comm.all_to_all import all_to_all_sbnt, dimension_sweep
 from repro.layout.fields import Layout
 from repro.layout.matrix import DistributedMatrix
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.message import Block
 from repro.transpose.exchange import BufferPolicy, exchange_transpose
 
@@ -47,7 +47,7 @@ def _check_one_dim(layout: Layout, role: str) -> None:
 
 
 def one_dim_transpose_exchange(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     dm: DistributedMatrix,
     after: Layout,
     *,
@@ -94,7 +94,7 @@ def _destinations(
 
 
 def block_transpose(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     dm: DistributedMatrix,
     after: Layout,
     *,
@@ -188,7 +188,7 @@ def block_transpose(
 
 
 def block_convert(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     dm: DistributedMatrix,
     after: Layout,
     *,
@@ -212,7 +212,7 @@ def block_convert(
 
 
 def one_dim_transpose_sbnt(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     dm: DistributedMatrix,
     after: Layout,
     *,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.layout.fields import Layout
 from repro.layout.matrix import DistributedMatrix
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.transpose.exchange import (
     BufferPolicy,
     exchange_transpose,
@@ -123,7 +123,7 @@ def remap_pair_sequence(
 
 
 def remap_transpose(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     dm: DistributedMatrix,
     after: Layout,
     *,

@@ -36,7 +36,7 @@ from repro.cube.topology import path_dims_to_nodes
 from repro.layout.classify import CommClass, classify_transpose
 from repro.layout.fields import Layout
 from repro.layout.matrix import DistributedMatrix
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.message import Block, Message
 from repro.machine.routing import RoutedTransfer, route_messages
 from repro.obs.instrumentation import instrumentation_of
@@ -85,7 +85,7 @@ def pairwise_maps(
 
 
 def _finalize(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     after: Layout,
     received: np.ndarray,
     dest_offset: np.ndarray,
@@ -104,7 +104,7 @@ def _finalize(
     return DistributedMatrix(after, out)
 
 
-def _check_network(network: CubeNetwork, before: Layout) -> None:
+def _check_network(network: EnsembleNetwork, before: Layout) -> None:
     if network.params.n != before.n:
         raise ValueError("network dimension does not match the layout")
 
@@ -120,7 +120,7 @@ def _check_partner_is_tr(partner: np.ndarray, n: int) -> None:
 
 
 def two_dim_transpose_spt(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     dm: DistributedMatrix,
     after: Layout,
     *,
@@ -171,7 +171,7 @@ def two_dim_transpose_spt(
 
 
 def two_dim_transpose_dpt(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     dm: DistributedMatrix,
     after: Layout,
     *,
@@ -197,7 +197,7 @@ def two_dim_transpose_dpt(
 
 
 def two_dim_transpose_mpt(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     dm: DistributedMatrix,
     after: Layout,
     *,
@@ -303,7 +303,7 @@ def two_dim_transpose_mpt(
 
 
 def two_dim_transpose_router(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     dm: DistributedMatrix,
     after: Layout,
 ) -> DistributedMatrix:
@@ -334,7 +334,7 @@ def two_dim_transpose_router(
 
 
 def _run_pipelined(
-    network: CubeNetwork,
+    network: EnsembleNetwork,
     local_data: np.ndarray,
     itineraries: dict[int, list[list[int | None]]],
     packet_size: int | None,

@@ -44,7 +44,7 @@ from repro.layout import partition as pt
 from repro.layout.embed import EmbeddedShape, embed, extract
 from repro.layout.fields import Layout
 from repro.layout.matrix import DistributedMatrix
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.params import MachineParams
 from repro.obs.instrumentation import instrumentation_of
 from repro.plans.cache import plan_key
@@ -220,7 +220,7 @@ class Pipeline:
 
     def _run(
         self,
-        network: CubeNetwork,
+        network: EnsembleNetwork,
         dm: DistributedMatrix,
         *,
         policy: BufferPolicy | None = None,
@@ -320,7 +320,7 @@ class Pipeline:
 
     def execute(
         self,
-        network: CubeNetwork,
+        network: EnsembleNetwork,
         a: np.ndarray,
         *,
         policy: BufferPolicy | None = None,

@@ -21,7 +21,7 @@ from repro.comm.one_to_all import personalized_data, scatter_tree
 from repro.cube.trees import spanning_binomial_tree
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.machine.params import PortModel
 from repro.transpose.two_dim import two_dim_transpose_spt
 
@@ -37,7 +37,7 @@ class TestOneToAllModels:
     def test_simulated_sbt_matches_formula(self):
         n, K = 4, 8
         params = machine(n)
-        net = CubeNetwork(params)
+        net = EnsembleNetwork(params)
         personalized_data(net, 0, K)
         scatter_tree(net, spanning_binomial_tree(n), schedule="subtree")
         M = (1 << n) * K
@@ -69,7 +69,7 @@ class TestAllToAllModels:
     def test_simulated_exchange_matches_formula(self):
         n, K = 3, 4
         params = machine(n)
-        net = CubeNetwork(params)
+        net = EnsembleNetwork(params)
         all_to_all_personalized_data(net, K)
         all_to_all_exchange(net)
         M = (1 << n) * (1 << n) * K
@@ -133,7 +133,7 @@ class TestSptDptModels:
         params = machine(n, port_model=PortModel.N_PORT)
         before = pt.two_dim_cyclic(p, p, half, half)
         A = np.arange(1 << (2 * p), dtype=np.float64).reshape(1 << p, 1 << p)
-        net = CubeNetwork(params)
+        net = EnsembleNetwork(params)
         B = 4
         two_dim_transpose_spt(
             net, DistributedMatrix.from_global(A, before), before, packet_size=B
@@ -200,7 +200,7 @@ class TestMptModel:
         params = machine(n, port_model=PortModel.N_PORT)
         before = pt.two_dim_cyclic(p, p, half, half)
         A = np.arange(1 << (2 * p), dtype=np.float64).reshape(1 << p, 1 << p)
-        net = CubeNetwork(params)
+        net = EnsembleNetwork(params)
         k = 2
         two_dim_transpose_mpt(
             net, DistributedMatrix.from_global(A, before), before, rounds=k
@@ -357,7 +357,7 @@ class TestIpscModelsVsSimulation:
         dm = DistributedMatrix.from_global(
             np.zeros((1 << p, 1 << (bits - p))), before
         )
-        net = CubeNetwork(params)
+        net = EnsembleNetwork(params)
         one_dim_transpose_exchange(net, dm, after, policy=BufferPolicy(mode))
         return net.time, params
 

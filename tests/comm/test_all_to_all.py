@@ -9,7 +9,7 @@ from repro.comm.all_to_all import (
     all_to_all_sbnt,
     dimension_sweep,
 )
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.machine.params import PortModel
 
 
@@ -29,14 +29,14 @@ def all_delivered(net):
 class TestExchange:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_delivers_everything(self, n):
-        net = CubeNetwork(custom_machine(n))
+        net = EnsembleNetwork(custom_machine(n))
         all_to_all_personalized_data(net, 2)
         phases = all_to_all_exchange(net)
         assert phases == n
         all_delivered(net)
 
     def test_ascending_order_also_works(self):
-        net = CubeNetwork(custom_machine(3))
+        net = EnsembleNetwork(custom_machine(3))
         all_to_all_personalized_data(net, 2)
         all_to_all_exchange(net, descending=False)
         all_delivered(net)
@@ -45,7 +45,7 @@ class TestExchange:
         """T = n (PQ/(2N) t_c + tau) for B_m >= PQ/(2N)."""
         n = 3
         K = 4  # elements per (src, dst) pair
-        net = CubeNetwork(custom_machine(n, tau=1.0, t_c=1.0))
+        net = EnsembleNetwork(custom_machine(n, tau=1.0, t_c=1.0))
         all_to_all_personalized_data(net, K)
         all_to_all_exchange(net)
         N = 1 << n
@@ -57,7 +57,7 @@ class TestExchange:
         """Each exchange step moves PQ/(2N) elements over each busy link."""
         n = 3
         K = 8
-        net = CubeNetwork(custom_machine(n))
+        net = EnsembleNetwork(custom_machine(n))
         all_to_all_personalized_data(net, K)
         all_to_all_exchange(net)
         N = 1 << n
@@ -67,7 +67,7 @@ class TestExchange:
         assert net.stats.max_link_elements == per_step
 
     def test_dimension_sweep_validates_dims(self):
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         with pytest.raises(ValueError):
             dimension_sweep(net, [5])
 
@@ -75,7 +75,7 @@ class TestExchange:
 class TestSbnt:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_delivers_everything(self, n):
-        net = CubeNetwork(custom_machine(n, port_model=PortModel.N_PORT))
+        net = EnsembleNetwork(custom_machine(n, port_model=PortModel.N_PORT))
         all_to_all_personalized_data(net, 2)
         phases = all_to_all_sbnt(net)
         assert phases <= n
@@ -86,11 +86,11 @@ class TestSbnt:
         an ~n-fold transfer-time win over the one-port exchange."""
         n = 4
         K = 32
-        ex = CubeNetwork(custom_machine(n, tau=0.0, t_c=1.0))
+        ex = EnsembleNetwork(custom_machine(n, tau=0.0, t_c=1.0))
         all_to_all_personalized_data(ex, K)
         all_to_all_exchange(ex)
 
-        sb = CubeNetwork(
+        sb = EnsembleNetwork(
             custom_machine(n, tau=0.0, t_c=1.0, port_model=PortModel.N_PORT)
         )
         all_to_all_personalized_data(sb, K)
@@ -101,7 +101,7 @@ class TestSbnt:
         """Transfer time within a small factor of PQ/(2N) t_c."""
         n = 4
         K = 16
-        net = CubeNetwork(
+        net = EnsembleNetwork(
             custom_machine(n, tau=0.0, t_c=1.0, port_model=PortModel.N_PORT)
         )
         all_to_all_personalized_data(net, K)
@@ -113,8 +113,8 @@ class TestSbnt:
 
     def test_exchange_and_sbnt_agree_on_payloads(self):
         n = 3
-        a = CubeNetwork(custom_machine(n))
-        b = CubeNetwork(custom_machine(n, port_model=PortModel.N_PORT))
+        a = EnsembleNetwork(custom_machine(n))
+        b = EnsembleNetwork(custom_machine(n, port_model=PortModel.N_PORT))
         for net in (a, b):
             all_to_all_personalized_data(net, 3)
         all_to_all_exchange(a)
@@ -128,7 +128,7 @@ class TestPipelinedExchange:
     def test_delivers_everything(self, n):
         from repro.comm.all_to_all import all_to_all_pipelined_exchange
 
-        net = CubeNetwork(custom_machine(n, port_model=PortModel.N_PORT))
+        net = EnsembleNetwork(custom_machine(n, port_model=PortModel.N_PORT))
         all_to_all_personalized_data(net, 2)
         phases = all_to_all_pipelined_exchange(net)
         assert phases == n
@@ -141,13 +141,13 @@ class TestPipelinedExchange:
         from repro.comm.all_to_all import all_to_all_pipelined_exchange
 
         n, K = 6, 8
-        pipe = CubeNetwork(
+        pipe = EnsembleNetwork(
             custom_machine(n, tau=0.0, t_c=1.0, port_model=PortModel.N_PORT)
         )
         all_to_all_personalized_data(pipe, K)
         all_to_all_pipelined_exchange(pipe)
 
-        sb = CubeNetwork(
+        sb = EnsembleNetwork(
             custom_machine(n, tau=0.0, t_c=1.0, port_model=PortModel.N_PORT)
         )
         all_to_all_personalized_data(sb, K)
@@ -159,13 +159,13 @@ class TestPipelinedExchange:
         from repro.comm.all_to_all import all_to_all_pipelined_exchange
 
         n, K = 4, 32
-        pipe = CubeNetwork(
+        pipe = EnsembleNetwork(
             custom_machine(n, tau=0.0, t_c=1.0, port_model=PortModel.N_PORT)
         )
         all_to_all_personalized_data(pipe, K)
         all_to_all_pipelined_exchange(pipe)
 
-        plain = CubeNetwork(
+        plain = EnsembleNetwork(
             custom_machine(n, tau=0.0, t_c=1.0, port_model=PortModel.N_PORT)
         )
         all_to_all_personalized_data(plain, K)
@@ -181,7 +181,7 @@ class TestSbntDistributedTranscription:
     def test_delivers_everything(self, n):
         from repro.comm.all_to_all import all_to_all_sbnt_distributed
 
-        net = CubeNetwork(custom_machine(n, port_model=PortModel.N_PORT))
+        net = EnsembleNetwork(custom_machine(n, port_model=PortModel.N_PORT))
         all_to_all_personalized_data(net, 2)
         phases = all_to_all_sbnt_distributed(net)
         assert phases <= n
@@ -191,8 +191,8 @@ class TestSbntDistributedTranscription:
     def test_identical_to_route_based(self, n):
         from repro.comm.all_to_all import all_to_all_sbnt_distributed
 
-        a = CubeNetwork(custom_machine(n, tau=1.0, t_c=1.0, port_model=PortModel.N_PORT))
-        b = CubeNetwork(custom_machine(n, tau=1.0, t_c=1.0, port_model=PortModel.N_PORT))
+        a = EnsembleNetwork(custom_machine(n, tau=1.0, t_c=1.0, port_model=PortModel.N_PORT))
+        b = EnsembleNetwork(custom_machine(n, tau=1.0, t_c=1.0, port_model=PortModel.N_PORT))
         for net in (a, b):
             all_to_all_personalized_data(net, 3)
         pa = all_to_all_sbnt(a)
@@ -222,7 +222,7 @@ class TestLinkBalance:
 
     def test_sbnt_balances_link_loads(self):
         n, K = 5, 8
-        net = CubeNetwork(custom_machine(n, port_model=PortModel.N_PORT))
+        net = EnsembleNetwork(custom_machine(n, port_model=PortModel.N_PORT))
         all_to_all_personalized_data(net, K)
         all_to_all_sbnt(net)
         loads = list(net.stats.link_elements.values())
@@ -239,13 +239,13 @@ class TestLinkBalance:
         from repro.machine import TraceRecorder
 
         n, K = 5, 8
-        pipe = CubeNetwork(custom_machine(n, port_model=PortModel.N_PORT))
+        pipe = EnsembleNetwork(custom_machine(n, port_model=PortModel.N_PORT))
         rec_p = TraceRecorder()
         pipe.observer = rec_p
         all_to_all_personalized_data(pipe, K)
         all_to_all_pipelined_exchange(pipe)
 
-        sb = CubeNetwork(custom_machine(n, port_model=PortModel.N_PORT))
+        sb = EnsembleNetwork(custom_machine(n, port_model=PortModel.N_PORT))
         rec_s = TraceRecorder()
         sb.observer = rec_s
         all_to_all_personalized_data(sb, K)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.comm.all_to_some import all_to_some_gather, some_to_all_scatter
-from repro.machine import Block, CubeNetwork, custom_machine
+from repro.machine import Block, EnsembleNetwork, custom_machine
 
 
 def load_sources(net, split_dims, elements=2):
@@ -35,7 +35,7 @@ class TestSomeToAll:
     @pytest.mark.parametrize("split_first", [True, False])
     def test_delivers(self, split_first):
         n = 4
-        net = CubeNetwork(custom_machine(n))
+        net = EnsembleNetwork(custom_machine(n))
         split_dims = [3, 2]
         a2a_dims = [1, 0]
         load_sources(net, split_dims)
@@ -54,11 +54,11 @@ class TestSomeToAll:
         n = 4
         split_dims, a2a_dims = [3, 2], [1, 0]
 
-        net_good = CubeNetwork(custom_machine(n))
+        net_good = EnsembleNetwork(custom_machine(n))
         load_sources(net_good, split_dims)
         some_to_all_scatter(net_good, split_dims, a2a_dims, split_first=True)
 
-        net_bad = CubeNetwork(custom_machine(n))
+        net_bad = EnsembleNetwork(custom_machine(n))
         load_sources(net_bad, split_dims)
         some_to_all_scatter(net_bad, split_dims, a2a_dims, split_first=False)
 
@@ -68,12 +68,12 @@ class TestSomeToAll:
         assert net_good.stats.element_hops <= net_bad.stats.element_hops
 
     def test_overlapping_dims_rejected(self):
-        net = CubeNetwork(custom_machine(3))
+        net = EnsembleNetwork(custom_machine(3))
         with pytest.raises(ValueError):
             some_to_all_scatter(net, [2, 1], [1, 0])
 
     def test_out_of_range_dim_rejected(self):
-        net = CubeNetwork(custom_machine(3))
+        net = EnsembleNetwork(custom_machine(3))
         with pytest.raises(ValueError):
             some_to_all_scatter(net, [5], [0])
 
@@ -82,7 +82,7 @@ class TestAllToSome:
     @pytest.mark.parametrize("accumulate_last", [True, False])
     def test_concentrates(self, accumulate_last):
         n = 4
-        net = CubeNetwork(custom_machine(n))
+        net = EnsembleNetwork(custom_machine(n))
         gather_dims = [3]
         targets_mask = 1 << 3
         N = 1 << n
@@ -108,7 +108,7 @@ class TestAllToSome:
         mask = (1 << 3) | (1 << 2)
 
         def build():
-            net = CubeNetwork(custom_machine(n))
+            net = EnsembleNetwork(custom_machine(n))
             for src in range(N):
                 for dst in range(N):
                     if dst & mask or dst == src:

@@ -10,7 +10,7 @@ from repro.comm.one_to_all import (
     scatter_tree,
 )
 from repro.cube.trees import spanning_balanced_tree, spanning_binomial_tree
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.machine.params import PortModel
 
 
@@ -32,13 +32,13 @@ def everyone_got_their_block(net, root, parts=1):
 
 class TestPersonalizedData:
     def test_places_blocks_at_root(self):
-        net = CubeNetwork(custom_machine(3))
+        net = EnsembleNetwork(custom_machine(3))
         personalized_data(net, 0, 8)
         assert len(net.memory(0)) == 7
         assert net.memory(0).get(("p13n", 5, 0)).size == 8
 
     def test_parts_must_divide(self):
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         with pytest.raises(ValueError):
             personalized_data(net, 0, 5, parts=2)
         with pytest.raises(ValueError):
@@ -48,7 +48,7 @@ class TestPersonalizedData:
 class TestScatterSbtSubtree:
     @pytest.mark.parametrize("root", [0, 5])
     def test_delivers_everything(self, root):
-        net = CubeNetwork(custom_machine(3))
+        net = EnsembleNetwork(custom_machine(3))
         personalized_data(net, root, 4)
         tree = spanning_binomial_tree(3, root=root)
         scatter_tree(net, tree, schedule="subtree")
@@ -58,7 +58,7 @@ class TestScatterSbtSubtree:
         """T = (1 - 1/N) * PQ * t_c + n * tau with unbounded packets."""
         n = 4
         K = 16  # elements per destination
-        net = CubeNetwork(custom_machine(n, tau=1.0, t_c=1.0))
+        net = EnsembleNetwork(custom_machine(n, tau=1.0, t_c=1.0))
         personalized_data(net, 0, K)
         tree = spanning_binomial_tree(n)
         phases = scatter_tree(net, tree, schedule="subtree")
@@ -69,12 +69,12 @@ class TestScatterSbtSubtree:
         assert net.time == pytest.approx(expected)
 
     def test_empty_root_is_noop(self):
-        net = CubeNetwork(custom_machine(3))
+        net = EnsembleNetwork(custom_machine(3))
         tree = spanning_binomial_tree(3)
         assert scatter_tree(net, tree) == 0
 
     def test_unknown_schedule_rejected(self):
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         personalized_data(net, 0, 2)
         with pytest.raises(ValueError):
             scatter_tree(net, spanning_binomial_tree(2), schedule="magic")
@@ -83,7 +83,7 @@ class TestScatterSbtSubtree:
 class TestScatterReverseBfs:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_delivers_everything(self, n):
-        net = CubeNetwork(
+        net = EnsembleNetwork(
             custom_machine(n, port_model=PortModel.N_PORT)
         )
         personalized_data(net, 0, 4)
@@ -97,13 +97,13 @@ class TestScatterReverseBfs:
         because the SBT's heaviest port carries half the data."""
         n = 4
         K = 64
-        t_sbt = CubeNetwork(
+        t_sbt = EnsembleNetwork(
             custom_machine(n, tau=0.0, t_c=1.0, port_model=PortModel.N_PORT)
         )
         personalized_data(t_sbt, 0, K)
         scatter_tree(t_sbt, spanning_binomial_tree(n), schedule="reverse-bfs")
 
-        t_bal = CubeNetwork(
+        t_bal = EnsembleNetwork(
             custom_machine(n, tau=0.0, t_c=1.0, port_model=PortModel.N_PORT)
         )
         personalized_data(t_bal, 0, K)
@@ -111,14 +111,14 @@ class TestScatterReverseBfs:
         assert t_bal.time < t_sbt.time / (n / 2 - 1)
 
     def test_sbnt_delivers(self):
-        net = CubeNetwork(custom_machine(4, port_model=PortModel.N_PORT))
+        net = EnsembleNetwork(custom_machine(4, port_model=PortModel.N_PORT))
         personalized_data(net, 0, 2)
         scatter_sbnt(net, spanning_balanced_tree(4))
         everyone_got_their_block(net, 0)
 
     def test_sbnt_nonzero_root(self):
         root = 0b1010
-        net = CubeNetwork(custom_machine(4, port_model=PortModel.N_PORT))
+        net = EnsembleNetwork(custom_machine(4, port_model=PortModel.N_PORT))
         personalized_data(net, root, 2)
         scatter_sbnt(net, spanning_balanced_tree(4, root=root))
         everyone_got_their_block(net, root)
@@ -127,7 +127,7 @@ class TestScatterReverseBfs:
 class TestRotatedSbts:
     def test_delivers_all_parts(self):
         n = 3
-        net = CubeNetwork(custom_machine(n, port_model=PortModel.N_PORT))
+        net = EnsembleNetwork(custom_machine(n, port_model=PortModel.N_PORT))
         personalized_data(net, 0, 6, parts=n)
         scatter_rotated_sbts(net, 0)
         everyone_got_their_block(net, 0, parts=n)
@@ -136,14 +136,14 @@ class TestRotatedSbts:
         """Splitting over n rotated SBTs cuts transfer time ~n-fold."""
         n = 4
         K = 4 * n
-        single = CubeNetwork(
+        single = EnsembleNetwork(
             custom_machine(n, tau=0.0, t_c=1.0, port_model=PortModel.N_PORT)
         )
         personalized_data(single, 0, K)
         scatter_tree(
             single, spanning_binomial_tree(n), schedule="reverse-bfs"
         )
-        rotated = CubeNetwork(
+        rotated = EnsembleNetwork(
             custom_machine(n, tau=0.0, t_c=1.0, port_model=PortModel.N_PORT)
         )
         personalized_data(rotated, 0, K, parts=n)
@@ -152,7 +152,7 @@ class TestRotatedSbts:
 
     def test_nonzero_root(self):
         n = 3
-        net = CubeNetwork(custom_machine(n, port_model=PortModel.N_PORT))
+        net = EnsembleNetwork(custom_machine(n, port_model=PortModel.N_PORT))
         personalized_data(net, 6, 3, parts=n)
         scatter_rotated_sbts(net, 6)
         everyone_got_their_block(net, 6, parts=n)

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.layout import DistributedMatrix, Layout, ProcField
 from repro.layout.classify import classify_transpose
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.transpose.one_dim import block_convert, block_transpose
 
 
@@ -91,7 +91,7 @@ class TestBandedLayout:
         A = np.arange(1 << (self.P + self.Q), dtype=np.float64).reshape(
             1 << self.P, 1 << self.Q
         )
-        net = CubeNetwork(custom_machine(lay.n))
+        net = EnsembleNetwork(custom_machine(lay.n))
         out = block_transpose(
             net, DistributedMatrix.from_global(A, lay), after
         )
@@ -108,7 +108,7 @@ class TestBandedLayout:
         A = np.arange(1 << (self.P + self.Q), dtype=np.float64).reshape(
             1 << self.P, 1 << self.Q
         )
-        net = CubeNetwork(custom_machine(lay.n))
+        net = EnsembleNetwork(custom_machine(lay.n))
         out = block_convert(net, DistributedMatrix.from_global(A, lay), target)
         assert np.array_equal(out.to_global(), A)
         info = classify_transpose(

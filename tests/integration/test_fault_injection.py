@@ -11,12 +11,12 @@ import pytest
 
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, Message, custom_machine
+from repro.machine import EnsembleNetwork, Message, custom_machine
 from repro.machine.engine import LinkConflictError
 from repro.transpose.two_dim import two_dim_transpose_spt
 
 
-class MisroutingNetwork(CubeNetwork):
+class MisroutingNetwork(EnsembleNetwork):
     """Redirects the payload of the k-th message to a wrong neighbour."""
 
     def __init__(self, params, *, fault_at: int):
@@ -34,7 +34,7 @@ class MisroutingNetwork(CubeNetwork):
         return super().execute_phase(patched, exclusive=exclusive)
 
 
-class DroppingNetwork(CubeNetwork):
+class DroppingNetwork(EnsembleNetwork):
     """Silently deletes one block instead of delivering it."""
 
     def __init__(self, params, *, fault_at: int):
@@ -53,7 +53,7 @@ class DroppingNetwork(CubeNetwork):
         return duration
 
 
-class CorruptingNetwork(CubeNetwork):
+class CorruptingNetwork(EnsembleNetwork):
     """Flips one element of one delivered payload."""
 
     def __init__(self, params, *, fault_at: int):
@@ -108,7 +108,7 @@ class TestFaultsAreCaught:
     def test_exclusive_mode_catches_schedule_bugs(self):
         """Duplicate a pipelined message: the engine must refuse."""
 
-        class DuplicatingNetwork(CubeNetwork):
+        class DuplicatingNetwork(EnsembleNetwork):
             def execute_phase(self, messages, *, exclusive=False):
                 if exclusive and messages:
                     messages = list(messages) + [messages[0]]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
 from repro.machine import (
-    CubeNetwork,
+    EnsembleNetwork,
     DisconnectedCubeError,
     FaultPlan,
     LinkFault,
@@ -51,7 +51,7 @@ class TestSingleLinkAcceptance:
             for d in range(n):
                 plan = FaultPlan.single_link(n, x, x ^ (1 << d))
                 for algo in STRATEGIES:
-                    net = CubeNetwork(custom_machine(n), faults=plan)
+                    net = EnsembleNetwork(custom_machine(n), faults=plan)
                     res = transpose(net, dm, layout, algorithm=algo)
                     assert res.verify_against(A), (x, d, algo)
                     # Proactive feasibility means the chosen tier never
@@ -67,7 +67,7 @@ class TestSingleLinkAcceptance:
         dpt_only = sorted(schedule_links("dpt", n) - schedule_links("spt", n))
         assert dpt_only
         src, dst = dpt_only[0]
-        net = CubeNetwork(
+        net = EnsembleNetwork(
             custom_machine(n, port_model=PortModel.N_PORT),
             faults=FaultPlan.single_link(n, src, dst),
         )
@@ -81,7 +81,7 @@ class TestSingleLinkAcceptance:
         n = layout.n
         off_spt = sorted(schedule_links("mpt", n) - schedule_links("spt", n))
         src, dst = off_spt[0]
-        net = CubeNetwork(
+        net = EnsembleNetwork(
             custom_machine(n), faults=FaultPlan.single_link(n, src, dst)
         )
         res = transpose(net, dm, layout, algorithm="spt")
@@ -94,7 +94,7 @@ class TestSingleLinkAcceptance:
 class TestDegradationReporting:
     def test_clean_run_reports_no_degradation(self):
         A, dm, layout = problem()
-        net = CubeNetwork(custom_machine(layout.n))
+        net = EnsembleNetwork(custom_machine(layout.n))
         res = transpose(net, dm, layout, algorithm="spt")
         assert res.requested == res.algorithm == "spt"
         assert res.fallbacks == ()
@@ -104,7 +104,7 @@ class TestDegradationReporting:
     def test_degraded_run_reports_ladder_and_overhead(self):
         A, dm, layout = problem()
         n = layout.n
-        net = CubeNetwork(
+        net = EnsembleNetwork(
             custom_machine(n), faults=FaultPlan.single_link(n, 0, 1)
         )
         res = transpose(net, dm, layout, algorithm="mpt")
@@ -120,7 +120,7 @@ class TestDegradationReporting:
     def test_degrade_false_fails_fast(self):
         A, dm, layout = problem()
         n = layout.n
-        net = CubeNetwork(
+        net = EnsembleNetwork(
             custom_machine(n), faults=FaultPlan.single_link(n, 0, 1)
         )
         with pytest.raises(LinkFailureError):
@@ -129,7 +129,7 @@ class TestDegradationReporting:
     def test_dead_node_is_undeliverable(self):
         A, dm, layout = problem()
         n = layout.n
-        net = CubeNetwork(
+        net = EnsembleNetwork(
             custom_machine(n),
             faults=FaultPlan(n, node_faults=(NodeFault(1),)),
         )
@@ -146,7 +146,7 @@ class TestDegradationReporting:
                 for a, b in ((0, 1), (1, 0), (0, 2), (2, 0))
             ),
         )
-        net = CubeNetwork(custom_machine(n), faults=plan)
+        net = EnsembleNetwork(custom_machine(n), faults=plan)
         with pytest.raises(DisconnectedCubeError):
             transpose(net, dm, layout, algorithm="spt")
 
@@ -160,7 +160,7 @@ class TestReactiveFallback:
         rng = np.random.default_rng(1)
         A = rng.standard_normal((1 << p, 1 << q))
         dm = DistributedMatrix.from_global(A, layout)
-        net = CubeNetwork(
+        net = EnsembleNetwork(
             custom_machine(n), faults=FaultPlan.single_link(n, 0, 1)
         )
         res = transpose(net, dm, pt.row_consecutive(q, p, n))
@@ -177,7 +177,7 @@ class TestReactiveFallback:
         rng = np.random.default_rng(2)
         A = rng.standard_normal((16, 16))
         dm = DistributedMatrix.from_global(A, layout)
-        net = CubeNetwork(
+        net = EnsembleNetwork(
             custom_machine(4), faults=FaultPlan.single_link(4, 0, 2)
         )
         res = transpose(net, dm, layout)
@@ -189,7 +189,7 @@ class TestReactiveFallback:
 class TestUniversalFallbackDirect:
     def test_pairwise_layout(self):
         A, dm, layout = problem()
-        net = CubeNetwork(custom_machine(layout.n))
+        net = EnsembleNetwork(custom_machine(layout.n))
         out = routed_universal_transpose(net, dm, layout)
         assert np.array_equal(out.to_global(), A.T)
         assert net.total_elements() == 0
@@ -200,7 +200,7 @@ class TestUniversalFallbackDirect:
         rng = np.random.default_rng(3)
         A = rng.standard_normal((1 << p, 1 << q))
         dm = DistributedMatrix.from_global(A, layout)
-        net = CubeNetwork(
+        net = EnsembleNetwork(
             custom_machine(n), faults=FaultPlan.single_link(n, 1, 3)
         )
         out = routed_universal_transpose(net, dm, pt.row_consecutive(q, p, n))
@@ -210,13 +210,13 @@ class TestUniversalFallbackDirect:
 class TestInvariantChecker:
     def test_accepts_a_correct_run(self):
         A, dm, layout = problem()
-        net = CubeNetwork(custom_machine(layout.n))
+        net = EnsembleNetwork(custom_machine(layout.n))
         res = transpose(net, dm, layout)
         check_transpose_invariants(net, A, res.matrix)
 
     def test_rejects_wrong_placement(self):
         A, dm, layout = problem()
-        net = CubeNetwork(custom_machine(layout.n))
+        net = EnsembleNetwork(custom_machine(layout.n))
         res = transpose(net, dm, layout)
         tampered = res.matrix.copy()
         tampered.local_data[0, 0] += 1.0
@@ -227,7 +227,7 @@ class TestInvariantChecker:
         from repro.machine import Block
 
         A, dm, layout = problem()
-        net = CubeNetwork(custom_machine(layout.n))
+        net = EnsembleNetwork(custom_machine(layout.n))
         res = transpose(net, dm, layout)
         net.place(0, Block("leak", virtual_size=7))
         with pytest.raises(TransposeInvariantError, match="stranded"):
@@ -235,7 +235,7 @@ class TestInvariantChecker:
 
     def test_rejects_lost_elements(self):
         A, dm, layout = problem()
-        net = CubeNetwork(custom_machine(layout.n))
+        net = EnsembleNetwork(custom_machine(layout.n))
         res = transpose(net, dm, layout)
         with pytest.raises(TransposeInvariantError, match="conservation"):
             check_transpose_invariants(net, A[:4], res.matrix)
@@ -261,7 +261,7 @@ def test_property_single_fault_transpose(half, p, seed, algo, link):
     x = (link >> 8) % (1 << n)
     d = link % n
     plan = FaultPlan.single_link(n, x, x ^ (1 << d))
-    net = CubeNetwork(custom_machine(n), faults=plan)
+    net = EnsembleNetwork(custom_machine(n), faults=plan)
     res = transpose(net, dm, layout, algorithm=algo)
     assert res.matrix.total_elements == A.size
     assert net.total_elements() == 0
@@ -285,7 +285,7 @@ def test_property_transient_storm(seed, gray, encode_seed):
     plan = FaultPlan.random(
         n, seed=seed + encode_seed, transient_rate=0.3, window=16
     )
-    net = CubeNetwork(custom_machine(n), faults=plan)
+    net = EnsembleNetwork(custom_machine(n), faults=plan)
     res = transpose(net, dm, layout)
     assert res.verify_against(A)
     assert net.total_elements() == 0

@@ -6,7 +6,7 @@ import pytest
 from repro import (
     BufferPolicy,
     CommClass,
-    CubeNetwork,
+    EnsembleNetwork,
     DistributedMatrix,
     connection_machine,
     custom_machine,
@@ -22,7 +22,7 @@ def run(before, after=None, *, machine=None, **kw):
     rng = np.random.default_rng(42)
     A = rng.standard_normal((1 << before.p, 1 << before.q))
     dm = DistributedMatrix.from_global(A, before)
-    net = CubeNetwork(machine or custom_machine(before.n))
+    net = EnsembleNetwork(machine or custom_machine(before.n))
     result = transpose(net, dm, after, **kw)
     return A, result
 
@@ -121,7 +121,7 @@ class TestExplicitSelection:
         rng = np.random.default_rng(0)
         A = rng.standard_normal((8, 16))
         dm = DistributedMatrix.from_global(A, before)
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         with pytest.raises(ValueError):
             transpose(net, dm)
         result = transpose(net, dm, pt.row_consecutive(4, 3, 2))

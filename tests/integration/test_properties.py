@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import Block, CubeNetwork, Message, custom_machine
+from repro.machine import Block, EnsembleNetwork, Message, custom_machine
 from repro.machine.params import PortModel
 from repro.transpose import (
     exchange_transpose,
@@ -42,7 +42,7 @@ PAIRWISE_ALGOS = {
 
 
 def fresh(n=4):
-    return CubeNetwork(custom_machine(n, port_model=PortModel.N_PORT))
+    return EnsembleNetwork(custom_machine(n, port_model=PortModel.N_PORT))
 
 
 def square_dm(p=4, half=2, seed=0):
@@ -120,7 +120,7 @@ class TestCostModelHomogeneity:
         fn = PAIRWISE_ALGOS[name]
         times = []
         for scale in (1.0, 3.0):
-            net = CubeNetwork(
+            net = EnsembleNetwork(
                 custom_machine(
                     4,
                     tau=scale * 2.0,
@@ -136,7 +136,7 @@ class TestCostModelHomogeneity:
         """With t_c = 0, each phase of the step-by-step SPT costs exactly
         the per-message start-ups."""
         A, dm, layout = square_dm()
-        net = CubeNetwork(custom_machine(4, tau=1.0, t_c=0.0))
+        net = EnsembleNetwork(custom_machine(4, tau=1.0, t_c=0.0))
         two_dim_transpose_spt(net, dm, layout)
         L = layout.local_size
         B = net.params.packet_capacity
@@ -147,23 +147,23 @@ class TestCostModelHomogeneity:
         A, dm, layout = square_dm()
         for name in ("spt", "dpt", "mpt", "block"):
             fn = PAIRWISE_ALGOS[name]
-            one = CubeNetwork(custom_machine(4, port_model=PortModel.ONE_PORT))
+            one = EnsembleNetwork(custom_machine(4, port_model=PortModel.ONE_PORT))
             fn(one, dm, layout)
-            multi = CubeNetwork(custom_machine(4, port_model=PortModel.N_PORT))
+            multi = EnsembleNetwork(custom_machine(4, port_model=PortModel.N_PORT))
             fn(multi, dm, layout)
             assert multi.time <= one.time * 1.0001, name
 
 
 class TestEngineFailureModes:
     def test_midstream_missing_block_raises_cleanly(self):
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         net.place(0, Block("a", virtual_size=4))
         net.execute_phase([Message(0, 1, ("a",))])
         with pytest.raises(KeyError):
             net.execute_phase([Message(0, 1, ("a",))])  # already moved
 
     def test_duplicate_placement_raises(self):
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         net.place(0, Block("a", virtual_size=4))
         with pytest.raises(ValueError):
             net.place(0, Block("a", virtual_size=4))
@@ -173,7 +173,7 @@ class TestEngineFailureModes:
         loudly instead of under-costing."""
         from repro.machine.engine import LinkConflictError
 
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         net.place(0, Block("a", virtual_size=1))
         net.place(0, Block("b", virtual_size=1))
         with pytest.raises(LinkConflictError):
@@ -218,9 +218,9 @@ def test_property_pairwise_transpose_roundtrip(half, p, seed, gray):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((1 << p, 1 << p))
     dm = DistributedMatrix.from_global(A, layout)
-    net = CubeNetwork(custom_machine(2 * half))
+    net = EnsembleNetwork(custom_machine(2 * half))
     once = transpose(net, dm).matrix
-    net2 = CubeNetwork(custom_machine(2 * half))
+    net2 = EnsembleNetwork(custom_machine(2 * half))
     twice = transpose(net2, once).matrix
     assert np.array_equal(twice.local_data, dm.local_data)
     assert np.array_equal(once.to_global(), A.T)

@@ -13,7 +13,7 @@ from repro.comm.all_to_all import (
 )
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.machine.params import PortModel
 from repro.transpose.one_dim import one_dim_transpose_sbnt
 from repro.transpose.two_dim import two_dim_transpose_mpt
@@ -28,7 +28,7 @@ class TestEightCube:
         rng = np.random.default_rng(0)
         A = rng.integers(0, 1000, size=(1 << (half + 1), 1 << (half + 1)))
         A = A.astype(np.float64)
-        net = CubeNetwork(
+        net = EnsembleNetwork(
             custom_machine(self.N_DIM, port_model=PortModel.N_PORT)
         )
         out = two_dim_transpose_mpt(
@@ -44,7 +44,7 @@ class TestEightCube:
         layout = pt.row_consecutive(8, 8, self.N_DIM)
         rng = np.random.default_rng(1)
         A = rng.standard_normal((256, 256))
-        net = CubeNetwork(
+        net = EnsembleNetwork(
             custom_machine(self.N_DIM, port_model=PortModel.N_PORT)
         )
         out = one_dim_transpose_sbnt(
@@ -54,7 +54,7 @@ class TestEightCube:
 
     def test_sbnt_all_to_all_on_128_nodes(self):
         n = 7
-        net = CubeNetwork(custom_machine(n, port_model=PortModel.N_PORT))
+        net = EnsembleNetwork(custom_machine(n, port_model=PortModel.N_PORT))
         all_to_all_personalized_data(net, 1)
         phases = all_to_all_sbnt(net)
         assert phases <= n
@@ -68,7 +68,7 @@ class TestDeterminism:
         def run():
             layout = pt.two_dim_cyclic(4, 4, 2, 2)
             A = np.arange(256, dtype=np.float64).reshape(16, 16)
-            net = CubeNetwork(
+            net = EnsembleNetwork(
                 custom_machine(4, tau=3.0, t_c=1.0, port_model=PortModel.N_PORT)
             )
             out = two_dim_transpose_mpt(
@@ -90,7 +90,7 @@ class TestDeterminism:
         A = np.arange(1024, dtype=np.float64).reshape(32, 32)
         times = set()
         for _ in range(3):
-            net = CubeNetwork(custom_machine(3))
+            net = EnsembleNetwork(custom_machine(3))
             r = transpose(net, DistributedMatrix.from_global(A, layout))
             times.add(r.stats.time)
         assert len(times) == 1
@@ -131,7 +131,7 @@ class TestVectorExtremes:
         A = np.arange(64, dtype=np.float64).reshape(1, 64)
         from repro.transpose.one_dim import block_transpose
 
-        net = CubeNetwork(custom_machine(3))
+        net = EnsembleNetwork(custom_machine(3))
         out = block_transpose(
             net, DistributedMatrix.from_global(A, lay_before), lay_after
         )

@@ -21,7 +21,7 @@ import pytest
 from repro.layout import DistributedMatrix
 from repro.layout.classify import classify_transpose
 from repro.layout.partition import combined_split, one_dim_embeddings
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.transpose.one_dim import block_convert, block_transpose
 
 P, Q, N_BITS = 5, 5, 3
@@ -81,7 +81,7 @@ class TestConversions:
         before = FORMS[src]
         after = FORMS[dst]
         dm = DistributedMatrix.from_global(A, before)
-        net = CubeNetwork(custom_machine(N_BITS))
+        net = EnsembleNetwork(custom_machine(N_BITS))
         out = block_transpose(net, dm, after)
         assert np.array_equal(out.to_global(), A.T), (src, dst)
 
@@ -90,7 +90,7 @@ class TestConversions:
         before = FORMS[src]
         after = FORMS[dst]
         dm = DistributedMatrix.from_global(A, before)
-        net = CubeNetwork(custom_machine(N_BITS))
+        net = EnsembleNetwork(custom_machine(N_BITS))
         out = block_convert(net, dm, after)
         assert np.array_equal(out.to_global(), A), (src, dst)
 

@@ -23,7 +23,7 @@ class TestApiDocsGenerator:
         text = (tmp_path / "api.md").read_text()
         assert "## `repro`" in text
         assert "## `repro.transpose.exchange`" in text
-        assert "class `CubeNetwork`" in text
+        assert "class `EnsembleNetwork`" in text
         assert "mpt_min_time" in text
 
     def test_first_paragraph_helper(self):

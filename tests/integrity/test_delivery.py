@@ -9,14 +9,14 @@ from repro.integrity import (
     IntegrityManager,
     LinkQuarantinedError,
 )
-from repro.machine import Block, CubeNetwork, Message, custom_machine
+from repro.machine import Block, EnsembleNetwork, Message, custom_machine
 from repro.machine.faults import CorruptionFault, FaultPlan
 
 
 def corrupted_net(fault: CorruptionFault, n=2, config=None):
     faults = FaultPlan(n=n, corruption_faults=(fault,))
     integrity = IntegrityManager(config) if config is not None else None
-    return CubeNetwork(custom_machine(n), faults=faults, integrity=integrity)
+    return EnsembleNetwork(custom_machine(n), faults=faults, integrity=integrity)
 
 
 class TestIntegrityConfig:
@@ -35,16 +35,16 @@ class TestAutoArming:
         assert net.integrity is not None
 
     def test_plain_network_has_no_integrity(self):
-        assert CubeNetwork(custom_machine(2)).integrity is None
+        assert EnsembleNetwork(custom_machine(2)).integrity is None
 
     def test_failstop_faults_alone_do_not_arm(self):
         faults = FaultPlan.from_spec(2, "links=0-1")
-        assert CubeNetwork(custom_machine(2), faults=faults).integrity is None
+        assert EnsembleNetwork(custom_machine(2), faults=faults).integrity is None
 
 
 class TestCleanDelivery:
     def test_armed_null_path_only_counts_overhead(self):
-        net = CubeNetwork(custom_machine(2), integrity=IntegrityManager())
+        net = EnsembleNetwork(custom_machine(2), integrity=IntegrityManager())
         net.place(0, Block("a", data=np.arange(8.0)))
         net.execute_phase([Message(0, 1, ["a"])])
         stats = net.stats
@@ -55,8 +55,8 @@ class TestCleanDelivery:
         assert np.array_equal(net.memories[1].get("a").data, np.arange(8.0))
 
     def test_checksum_time_is_priced_when_configured(self):
-        free = CubeNetwork(custom_machine(2), integrity=IntegrityManager())
-        paid = CubeNetwork(
+        free = EnsembleNetwork(custom_machine(2), integrity=IntegrityManager())
+        paid = EnsembleNetwork(
             custom_machine(2),
             integrity=IntegrityManager(
                 IntegrityConfig(checksum_time_per_element=0.5)
@@ -87,7 +87,7 @@ class TestRetransmission:
     def test_retransmissions_are_priced_into_the_phase(self):
         fault = CorruptionFault(0, 1, rate=0.5, seed=2)
         net = corrupted_net(fault)
-        clean = CubeNetwork(custom_machine(2))
+        clean = EnsembleNetwork(custom_machine(2))
         for n in (net, clean):
             n.place(0, Block("a", virtual_size=4))
             n.execute_phase([Message(0, 1, ["a"])])

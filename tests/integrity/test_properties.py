@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.integrity import IntegrityManager
-from repro.machine import CubeNetwork
+from repro.machine import EnsembleNetwork
 from repro.machine.faults import FaultError, FaultPlan
 from repro.machine.presets import connection_machine
 from repro.machine.routing import RoutingStalledError
@@ -34,7 +34,7 @@ def run(algorithm, *, faults=None, integrity=None):
     before, after = resolve_problem(N, ELEMENTS, "2d")
     matrix = synthetic_matrix(before)
     original = matrix.to_global()
-    network = CubeNetwork(params, faults=faults, integrity=integrity)
+    network = EnsembleNetwork(params, faults=faults, integrity=integrity)
     result = transpose(network, matrix, after, algorithm=algorithm)
     return network, result, original
 

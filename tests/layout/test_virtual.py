@@ -12,7 +12,7 @@ from repro.layout.virtual import (
     restrict_to,
     square_up,
 )
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.machine.params import PortModel
 from repro.transpose.two_dim import two_dim_transpose_mpt, two_dim_transpose_spt
 
@@ -113,7 +113,7 @@ class TestRectangularTransposeViaSquaring:
         dm = DistributedMatrix.from_global(A, lay)
         sq = square_up(dm)
         sq_layout = sq.matrix.layout
-        net = CubeNetwork(custom_machine(sq_layout.n))
+        net = EnsembleNetwork(custom_machine(sq_layout.n))
         out = two_dim_transpose_spt(net, sq.matrix, sq_layout)
         target = pt.two_dim_cyclic(q, p, min(half, q), min(half, p))
         # The transposed padded matrix restricted to Q x P equals A.T —
@@ -127,7 +127,7 @@ class TestRectangularTransposeViaSquaring:
         lay = pt.two_dim_cyclic(p, q, 2, 2)
         dm = DistributedMatrix.from_global(A, lay)
         sq = square_up(dm)
-        net = CubeNetwork(
+        net = EnsembleNetwork(
             custom_machine(sq.matrix.layout.n, port_model=PortModel.N_PORT)
         )
         out = two_dim_transpose_mpt(net, sq.matrix, sq.matrix.layout)
@@ -141,7 +141,7 @@ class TestRectangularTransposeViaSquaring:
         lay = pt.two_dim_cyclic(p, q, 1, 1)
         dm = DistributedMatrix.from_global(rect_matrix(p, q), lay)
         sq = square_up(dm)
-        net = CubeNetwork(custom_machine(sq.matrix.layout.n))
+        net = EnsembleNetwork(custom_machine(sq.matrix.layout.n))
         two_dim_transpose_spt(net, sq.matrix, sq.matrix.layout)
         moved = net.stats.element_hops
         # All 2^{2*max(p,q)} elements participate (minus diagonal nodes'

@@ -5,7 +5,7 @@ import pytest
 
 from repro.machine import (
     Block,
-    CubeNetwork,
+    EnsembleNetwork,
     LinkConflictError,
     Message,
     custom_machine,
@@ -15,7 +15,7 @@ from repro.machine.params import PortModel
 
 
 def make_network(n=3, **kw):
-    return CubeNetwork(custom_machine(n, **kw))
+    return EnsembleNetwork(custom_machine(n, **kw))
 
 
 class TestBlocks:
@@ -92,7 +92,7 @@ class TestPhaseExecution:
             )
 
     def test_shared_link_serializes_by_default(self):
-        net = CubeNetwork(custom_machine(3, tau=1.0, t_c=1.0))
+        net = EnsembleNetwork(custom_machine(3, tau=1.0, t_c=1.0))
         net.place(0, Block("a", virtual_size=2))
         net.place(0, Block("b", virtual_size=2))
         duration = net.execute_phase([Message(0, 1, ("a",)), Message(0, 1, ("b",))])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine import Block, CubeNetwork, Message, custom_machine
+from repro.machine import Block, EnsembleNetwork, Message, custom_machine
 from repro.machine.params import PortModel
 
 
@@ -68,7 +68,7 @@ def test_phase_duration_matches_reference(case):
         port_model=port,
         pipelined=pipelined,
     )
-    net = CubeNetwork(params)
+    net = EnsembleNetwork(params)
     messages = []
     for i, (src, dst, size) in enumerate(msgs):
         key = ("fz", i)
@@ -94,7 +94,7 @@ def test_router_fuzz_always_delivers(n, seed, count):
 
     rng = np.random.default_rng(seed)
     N = 1 << n
-    net = CubeNetwork(custom_machine(n))
+    net = EnsembleNetwork(custom_machine(n))
     transfers = []
     for i in range(count):
         src = int(rng.integers(0, N))

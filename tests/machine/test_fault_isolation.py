@@ -12,7 +12,7 @@ solo runs of the same spec.
 
 import threading
 
-from repro.machine import CubeNetwork
+from repro.machine import EnsembleNetwork
 from repro.machine.faults import FaultPlan
 from repro.machine.presets import connection_machine
 from repro.plans.batch import resolve_problem
@@ -25,7 +25,7 @@ SPEC = "seed=3,link_rate=0.05,transient_rate=0.6,window=4"
 def _faulted_run(plan: FaultPlan, algorithm: str = "mpt") -> dict:
     params = connection_machine(4)
     before, after = resolve_problem(4, 256, "2d")
-    net = CubeNetwork(params, faults=plan)
+    net = EnsembleNetwork(params, faults=plan)
     result = transpose(net, synthetic_matrix(before), after, algorithm=algorithm)
     doc = result.stats.as_dict()
     doc["algorithm"] = result.algorithm

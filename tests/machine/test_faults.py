@@ -5,7 +5,7 @@ import pytest
 
 from repro.machine import (
     Block,
-    CubeNetwork,
+    EnsembleNetwork,
     FaultKind,
     FaultPlan,
     LinkFailureError,
@@ -116,11 +116,11 @@ class TestFaultPlan:
 
 class TestEngineEnforcement:
     def make(self, plan, n=2):
-        return CubeNetwork(custom_machine(n), faults=plan)
+        return EnsembleNetwork(custom_machine(n), faults=plan)
 
     def test_plan_dimension_must_match(self):
         with pytest.raises(ValueError):
-            CubeNetwork(custom_machine(3), faults=FaultPlan(2))
+            EnsembleNetwork(custom_machine(3), faults=FaultPlan(2))
 
     def test_faulted_link_delivery_raises_and_preserves_memory(self):
         net = self.make(FaultPlan.single_link(2, 0, 1))
@@ -174,7 +174,7 @@ class TestEngineEnforcement:
         assert "link@phase0" in event.detail
 
     def test_idle_phase_is_free_but_counted(self):
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         assert net.idle_phase() == 0.0
         assert net.phase_index == 1
         assert net.time == 0.0
@@ -182,31 +182,31 @@ class TestEngineEnforcement:
 
 class TestExecuteLocalElements:
     def test_scalar_elements_recorded(self):
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         net.execute_local(1.5, 64)
         assert net.stats.copied_elements == 64
         assert net.stats.copy_time == pytest.approx(1.5)
 
     def test_mapping_elements_summed(self):
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         net.execute_local({0: 1.0, 1: 2.0}, {0: 10, 1: 30})
         assert net.stats.copied_elements == 40
         assert net.stats.copy_time == pytest.approx(2.0)
 
     def test_default_remains_zero(self):
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         net.execute_local(1.0)
         assert net.stats.copied_elements == 0
 
     def test_negative_counts_rejected(self):
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         with pytest.raises(ValueError):
             net.execute_local(1.0, -3)
 
 
 class TestDuplicateKeyHardening:
     def test_same_key_twice_from_one_node_is_a_clear_error(self):
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         net.place(0, Block("a", virtual_size=2))
         with pytest.raises(ValueError, match="'a' at node 0"):
             net.execute_phase(
@@ -215,7 +215,7 @@ class TestDuplicateKeyHardening:
         assert net.find_block("a") == 0  # aborted before any pop
 
     def test_error_names_both_messages(self):
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         net.place(0, Block("k", virtual_size=2))
         with pytest.raises(ValueError, match=r"0->1 and 0->2"):
             net.execute_phase(
@@ -223,7 +223,7 @@ class TestDuplicateKeyHardening:
             )
 
     def test_same_key_at_different_nodes_is_fine(self):
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         net.place(0, Block("a", virtual_size=2))
         net.place(3, Block("a", virtual_size=2))
         net.execute_phase([Message(0, 1, ("a",)), Message(3, 2, ("a",))])

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.machine import Block, CubeNetwork, custom_machine
+from repro.machine import Block, EnsembleNetwork, custom_machine
 from repro.machine.params import PortModel
 from repro.machine.routing import RoutedTransfer, route_messages
 
 
 def fresh(n=3, **kw):
-    return CubeNetwork(custom_machine(n, **kw))
+    return EnsembleNetwork(custom_machine(n, **kw))
 
 
 class TestRouting:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.machine import (
     Block,
-    CubeNetwork,
+    EnsembleNetwork,
     FaultPlan,
     LinkFault,
     NodeFailureError,
@@ -17,7 +17,7 @@ from repro.machine.routing import RoutedTransfer, route_messages
 
 
 def fresh(n=2, plan=None, **kw):
-    return CubeNetwork(custom_machine(n, **kw), faults=plan)
+    return EnsembleNetwork(custom_machine(n, **kw), faults=plan)
 
 
 class TestBaselineUnchanged:

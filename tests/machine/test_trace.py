@@ -5,13 +5,13 @@ import pytest
 
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import Block, CubeNetwork, Message, TraceRecorder, custom_machine
+from repro.machine import Block, EnsembleNetwork, Message, TraceRecorder, custom_machine
 from repro.transpose.two_dim import two_dim_transpose_spt
 
 
 class TestTraceRecorder:
     def test_records_phases(self):
-        net = CubeNetwork(custom_machine(2, tau=1.0, t_c=1.0))
+        net = EnsembleNetwork(custom_machine(2, tau=1.0, t_c=1.0))
         rec = TraceRecorder()
         net.observer = rec
         net.place(0, Block("a", virtual_size=3))
@@ -25,7 +25,7 @@ class TestTraceRecorder:
         assert e.total_elements == 3
 
     def test_records_local_work(self):
-        net = CubeNetwork(custom_machine(2, t_copy=1.0))
+        net = EnsembleNetwork(custom_machine(2, t_copy=1.0))
         rec = TraceRecorder()
         net.observer = rec
         net.charge_copy({0: 5})
@@ -37,7 +37,7 @@ class TestTraceRecorder:
         """The step-by-step SPT trace shows each dimension in turn."""
         layout = pt.two_dim_cyclic(3, 3, 1, 1)
         A = np.arange(64, dtype=np.float64).reshape(8, 8)
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         rec = TraceRecorder()
         net.observer = rec
         two_dim_transpose_spt(
@@ -53,7 +53,7 @@ class TestTraceRecorder:
         layout = pt.row_consecutive(3, 3, 2)
         from repro.transpose.one_dim import one_dim_transpose_exchange
 
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         rec = TraceRecorder()
         net.observer = rec
         dm = DistributedMatrix.iota(layout).copy()
@@ -64,7 +64,7 @@ class TestTraceRecorder:
         assert sum(hist.values()) == net.stats.element_hops
 
     def test_busiest_phase_and_render(self):
-        net = CubeNetwork(custom_machine(2, tau=1.0, t_c=1.0))
+        net = EnsembleNetwork(custom_machine(2, tau=1.0, t_c=1.0))
         rec = TraceRecorder()
         net.observer = rec
         net.place(0, Block("a", virtual_size=1))
@@ -83,7 +83,7 @@ class TestTraceRecorder:
             TraceRecorder().busiest_phase()
 
     def test_render_truncation(self):
-        net = CubeNetwork(custom_machine(1, tau=1.0, t_c=0.0))
+        net = EnsembleNetwork(custom_machine(1, tau=1.0, t_c=0.0))
         rec = TraceRecorder()
         net.observer = rec
         for i in range(6):
@@ -101,7 +101,7 @@ class TestTraceRecorder:
 
     def test_local_events_have_no_synthetic_transfers(self):
         """on_local must not fabricate (0, 0, n) self-loop transfers."""
-        net = CubeNetwork(custom_machine(2, t_copy=1.0))
+        net = EnsembleNetwork(custom_machine(2, t_copy=1.0))
         rec = TraceRecorder()
         net.observer = rec
         net.charge_copy({0: 7})

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.layout import partition as pt
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.presets import connection_machine, intel_ipsc
 from repro.machine.trace import TraceRecorder
 from repro.obs import (
@@ -57,7 +57,7 @@ class TestConformance:
     def test_engine_phases_reach_sinks(self):
         log, partial = _CallLog(), _PhaseOnly()
         hub = Instrumentation(log, partial)
-        net = CubeNetwork(connection_machine(2))
+        net = EnsembleNetwork(connection_machine(2))
         hub.attach(net)
         assert net.observer is hub
         net.place(0, _block("b", 4))
@@ -70,7 +70,7 @@ class TestConformance:
     def test_local_charges_reach_sinks(self):
         log = _CallLog()
         hub = Instrumentation(log)
-        net = CubeNetwork(connection_machine(2))
+        net = EnsembleNetwork(connection_machine(2))
         hub.attach(net)
         net.execute_local(0.5, 16)
         assert any(c[0] == "on_local" and c[1] == 16 for c in log.calls)
@@ -99,7 +99,7 @@ class TestConformance:
     def test_trace_recorder_works_as_sink(self):
         recorder = TraceRecorder()
         hub = Instrumentation(recorder)
-        net = CubeNetwork(connection_machine(2))
+        net = EnsembleNetwork(connection_machine(2))
         hub.attach(net)
         net.execute_local(0.25, 4)
         assert len(recorder.events) == 1
@@ -154,7 +154,7 @@ class TestSpans:
 
 class TestNullPath:
     def test_unobserved_network_yields_shared_null(self):
-        net = CubeNetwork(connection_machine(2))
+        net = EnsembleNetwork(connection_machine(2))
         assert instrumentation_of(net) is NULL_INSTRUMENTATION
         # Same shared span object every time: no per-call allocation.
         a = NULL_INSTRUMENTATION.span("x", whatever=1)
@@ -165,7 +165,7 @@ class TestNullPath:
             span.count("ignored")
 
     def test_foreign_observer_keeps_null_span_path(self):
-        net = CubeNetwork(connection_machine(2))
+        net = EnsembleNetwork(connection_machine(2))
         net.observer = TraceRecorder()
         assert instrumentation_of(net) is NULL_INSTRUMENTATION
 
@@ -175,7 +175,7 @@ class TestEmissionPoints:
 
     def test_planner_run_wraps_algorithm_wraps_phases(self):
         hub = Instrumentation()
-        net = CubeNetwork(connection_machine(4))
+        net = EnsembleNetwork(connection_machine(4))
         hub.attach(net)
         layout = pt.two_dim_cyclic(2, 2, 2, 2)
         result = transpose(net, synthetic_matrix(layout), algorithm="mpt")
@@ -195,7 +195,7 @@ class TestEmissionPoints:
 
     def test_exchange_sequence_spans(self):
         hub = Instrumentation()
-        net = CubeNetwork(intel_ipsc(4))
+        net = EnsembleNetwork(intel_ipsc(4))
         hub.attach(net)
         layout = pt.row_consecutive(4, 4, 4)
         transpose(net, synthetic_matrix(layout), algorithm="exchange")

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.obs import Instrumentation
 from repro.permute.bit_reversal import bit_reversal_permute
 from repro.permute.dimperm import apply_dimension_permutation
@@ -20,7 +20,7 @@ def distributed(n: int):
 class TestBitReversalSpans:
     def test_span_emitted_with_observer(self):
         hub = Instrumentation(phase_spans=False)
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         bit_reversal_permute(net, distributed(2), observer=hub)
         names = [s.name for s in hub.spans]
         assert "bit-reversal" in names
@@ -29,7 +29,7 @@ class TestBitReversalSpans:
         assert span.attrs["m"] == 6
 
     def test_no_observer_still_works(self):
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         out = bit_reversal_permute(net, distributed(2))
         assert out is not None
 
@@ -38,7 +38,7 @@ class TestDimPermSpans:
     def test_rounds_become_child_spans(self):
         hub = Instrumentation(phase_spans=False)
         n = 3
-        net = CubeNetwork(custom_machine(n))
+        net = EnsembleNetwork(custom_machine(n))
         local = np.arange((1 << n) * 4, dtype=np.float64).reshape(1 << n, 4)
         apply_dimension_permutation(net, local, [1, 2, 0], observer=hub)
         by_name = {s.name: s for s in hub.spans}
@@ -56,7 +56,7 @@ class TestGeneralPermutationSpans:
     def test_two_routing_rounds_become_child_spans(self):
         hub = Instrumentation(phase_spans=False)
         n = 2
-        net = CubeNetwork(custom_machine(n))
+        net = EnsembleNetwork(custom_machine(n))
         local = np.arange((1 << n) * 4, dtype=np.float64).reshape(1 << n, 4)
         pi = [(i + 1) % (1 << n) for i in range(1 << n)]
         arbitrary_node_permutation(net, local, pi, observer=hub)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.codes.bits import bit_reverse
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.permute.bit_reversal import bit_reversal_pairs, bit_reversal_permute
 from repro.permute.dimperm import (
     apply_dimension_permutation,
@@ -31,7 +31,7 @@ class TestBitReversal:
         m = layout.m
         flat = np.arange(1 << m, dtype=np.float64)
         dm = DistributedMatrix.from_global(flat.reshape(1 << 3, 1 << 3), layout)
-        net = CubeNetwork(custom_machine(n))
+        net = EnsembleNetwork(custom_machine(n))
         out = bit_reversal_permute(net, dm)
         result = out.to_global().reshape(-1)
         for w in range(1 << m):
@@ -40,7 +40,7 @@ class TestBitReversal:
     def test_is_involution(self):
         layout = pt.row_cyclic(2, 2, 2)
         dm = DistributedMatrix.iota(layout)
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         once = bit_reversal_permute(net, dm)
         twice = bit_reversal_permute(net, once)
         assert np.array_equal(twice.local_data, dm.local_data)
@@ -103,7 +103,7 @@ class TestApplyDimensionPermutation:
         N = 1 << n
         rng = np.random.default_rng(0)
         local = rng.standard_normal((N, 4))
-        net = CubeNetwork(custom_machine(n))
+        net = EnsembleNetwork(custom_machine(n))
         out = apply_dimension_permutation(net, local, delta)
         for x in range(N):
             y = 0
@@ -112,12 +112,12 @@ class TestApplyDimensionPermutation:
             assert np.array_equal(out[y], local[x])
 
     def test_wrong_length_rejected(self):
-        net = CubeNetwork(custom_machine(3))
+        net = EnsembleNetwork(custom_machine(3))
         with pytest.raises(ValueError):
             apply_dimension_permutation(net, np.zeros((8, 1)), [1, 0])
 
     def test_wrong_row_count_rejected(self):
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         with pytest.raises(ValueError):
             apply_dimension_permutation(net, np.zeros((3, 1)), [1, 0])
 
@@ -130,7 +130,7 @@ class TestArbitraryPermutation:
         rng = np.random.default_rng(seed)
         pi = rng.permutation(N).tolist()
         local = rng.standard_normal((N, N + 3))
-        net = CubeNetwork(custom_machine(n))
+        net = EnsembleNetwork(custom_machine(n))
         out = arbitrary_node_permutation(net, local, pi)
         for x in range(N):
             assert np.allclose(out[pi[x]], local[x])
@@ -139,17 +139,17 @@ class TestArbitraryPermutation:
         n = 2
         N = 1 << n
         local = np.arange(N * N, dtype=np.float64).reshape(N, N)
-        net = CubeNetwork(custom_machine(n))
+        net = EnsembleNetwork(custom_machine(n))
         out = arbitrary_node_permutation(net, local, list(range(N)))
         assert np.array_equal(out, local)
 
     def test_too_little_data_rejected(self):
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         with pytest.raises(ValueError):
             arbitrary_node_permutation(net, np.zeros((4, 2)), [1, 0, 3, 2])
 
     def test_invalid_pi_rejected(self):
-        net = CubeNetwork(custom_machine(1))
+        net = EnsembleNetwork(custom_machine(1))
         with pytest.raises(ValueError):
             arbitrary_node_permutation(net, np.zeros((2, 4)), [0, 0])
 
@@ -167,10 +167,10 @@ class TestArbitraryPermutation:
         A = np.arange(256, dtype=np.float64).reshape(16, 16)
         dm = DistributedMatrix.from_global(A, before)
 
-        direct = CubeNetwork(custom_machine(n, tau=1.0, t_c=1.0))
+        direct = EnsembleNetwork(custom_machine(n, tau=1.0, t_c=1.0))
         two_dim_transpose_spt(direct, dm, after)
 
-        via_a2a = CubeNetwork(custom_machine(n, tau=1.0, t_c=1.0))
+        via_a2a = EnsembleNetwork(custom_machine(n, tau=1.0, t_c=1.0))
         pi = [transpose_partner(x, n) for x in range(N)]
         arbitrary_node_permutation(via_a2a, dm.local_data, pi)
         assert via_a2a.stats.element_hops > direct.stats.element_hops

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.layout import partition as pt
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.presets import connection_machine
 from repro.plans import capture_permutation, replay_plan, synthetic_matrix
 
@@ -91,8 +91,8 @@ class TestReplayEquivalence:
         _, plan = capture_permutation(
             params, permutation, kind=kind, before=LAYOUT
         )
-        first = CubeNetwork(params)
-        second = CubeNetwork(params)
+        first = EnsembleNetwork(params)
+        second = EnsembleNetwork(params)
         replay_plan(plan, first)
         replay_plan(plan, second)
         assert first.stats == second.stats

@@ -10,7 +10,7 @@ the same drained state.
 import pytest
 
 from repro.layout import partition as pt
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.presets import connection_machine, intel_ipsc
 from repro.plans import (
     PlanReplayError,
@@ -50,7 +50,7 @@ class TestReplayEquivalence:
         )
         assert plan.algorithm == algorithm
 
-        fresh = CubeNetwork(params)
+        fresh = EnsembleNetwork(params)
         replay_plan(plan, fresh)
 
         # Full dataclass equality: every counter, the per-link element
@@ -65,8 +65,8 @@ class TestReplayEquivalence:
         _, plan = capture_transpose(
             params, synthetic_matrix(before), algorithm=algorithm
         )
-        first = CubeNetwork(params)
-        second = CubeNetwork(params)
+        first = EnsembleNetwork(params)
+        second = EnsembleNetwork(params)
         replay_plan(plan, first)
         replay_plan(plan, second)
         assert first.stats == second.stats
@@ -76,12 +76,12 @@ class TestReplayGuards:
     def test_wrong_machine_rejected(self):
         _, plan = capture_transpose(intel_ipsc(4), synthetic_matrix(SQUARE_2D))
         with pytest.raises(PlanReplayError, match="compiled for"):
-            replay_plan(plan, CubeNetwork(connection_machine(4)))
+            replay_plan(plan, EnsembleNetwork(connection_machine(4)))
 
     def test_renamed_machine_is_compatible(self):
         params = intel_ipsc(4)
         _, plan = capture_transpose(params, synthetic_matrix(SQUARE_2D))
-        renamed = CubeNetwork(
+        renamed = EnsembleNetwork(
             type(params)(
                 n=params.n,
                 tau=params.tau,
@@ -99,7 +99,7 @@ class TestReplayGuards:
     def test_relabeled_plan_has_identical_cost(self):
         params = intel_ipsc(4)
         result, plan = capture_transpose(params, synthetic_matrix(SQUARE_2D))
-        shifted = CubeNetwork(params)
+        shifted = EnsembleNetwork(params)
         replay_plan(plan.relabeled(9), shifted)
         # XOR-translation is a cube automorphism: the modelled cost and
         # every aggregate counter are preserved; only link ids move.

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.machine import Block, CubeNetwork, Message, custom_machine
+from repro.machine import Block, EnsembleNetwork, Message, custom_machine
 from repro.recovery import CheckpointManager
 from repro.recovery.policy import RecoveryPolicy
 
 
 def fresh(n=3):
-    return CubeNetwork(custom_machine(n))
+    return EnsembleNetwork(custom_machine(n))
 
 
 class TestMemorySnapshots:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.machine import CubeNetwork
+from repro.machine import EnsembleNetwork
 from repro.machine.faults import FaultPlan
 from repro.machine.presets import connection_machine
 from repro.plans.batch import resolve_problem
@@ -47,7 +47,7 @@ PERMANENT = "links=0-1"
 class TestCleanRun:
     def test_clean_run_verifies_and_stays_clean(self):
         params, plan, _ = captured()
-        outcome = execute_with_recovery(plan, CubeNetwork(params))
+        outcome = execute_with_recovery(plan, EnsembleNetwork(params))
         assert outcome.verified
         assert outcome.report.resolved == "clean"
         assert not outcome.report.recovered
@@ -56,7 +56,7 @@ class TestCleanRun:
 
     def test_rejects_incompatible_network(self):
         params, plan, _ = captured(n=4)
-        other = CubeNetwork(connection_machine(3))
+        other = EnsembleNetwork(connection_machine(3))
         with pytest.raises(PlanReplayError, match="compiled for"):
             execute_with_recovery(plan, other)
 
@@ -64,7 +64,7 @@ class TestCleanRun:
 class TestTransientResume:
     def test_backoff_then_resume(self):
         params, plan, _ = captured()
-        net = CubeNetwork(params, faults=FaultPlan.from_spec(4, TRANSIENT))
+        net = EnsembleNetwork(params, faults=FaultPlan.from_spec(4, TRANSIENT))
         outcome = execute_with_recovery(
             plan, net, policy=RecoveryPolicy(checkpoint_every=2)
         )
@@ -76,7 +76,7 @@ class TestTransientResume:
 
     def test_resume_replays_strictly_fewer_phases_than_restart(self):
         params, plan, _ = captured()
-        net = CubeNetwork(params, faults=FaultPlan.from_spec(4, TRANSIENT))
+        net = EnsembleNetwork(params, faults=FaultPlan.from_spec(4, TRANSIENT))
         outcome = execute_with_recovery(
             plan, net, policy=RecoveryPolicy(checkpoint_every=2)
         )
@@ -87,11 +87,11 @@ class TestTransientResume:
 
     def test_phase_clock_never_rolls_back(self):
         params, plan, _ = captured()
-        net = CubeNetwork(params, faults=FaultPlan.from_spec(4, TRANSIENT))
+        net = EnsembleNetwork(params, faults=FaultPlan.from_spec(4, TRANSIENT))
         execute_with_recovery(
             plan, net, policy=RecoveryPolicy(checkpoint_every=2)
         )
-        clean_net = CubeNetwork(params)
+        clean_net = EnsembleNetwork(params)
         execute_with_recovery(plan, clean_net)
         # Backoff and replay phases advance the clock; rollback never
         # rewinds it, so the faulted run ends later than the clean one.
@@ -99,7 +99,7 @@ class TestTransientResume:
 
     def test_backoff_budget_exhaustion(self):
         params, plan, _ = captured()
-        net = CubeNetwork(
+        net = EnsembleNetwork(
             params, faults=FaultPlan.from_spec(4, "tlinks=0-1@1-100")
         )
         with pytest.raises(RecoveryFailedError, match="backoff budget"):
@@ -113,7 +113,7 @@ class TestTransientResume:
 
     def test_rollback_budget_exhaustion_carries_report(self):
         params, plan, _ = captured()
-        net = CubeNetwork(params, faults=FaultPlan.from_spec(4, TRANSIENT))
+        net = EnsembleNetwork(params, faults=FaultPlan.from_spec(4, TRANSIENT))
         with pytest.raises(RecoveryFailedError, match="rollback budget") as e:
             execute_with_recovery(
                 plan, net, policy=RecoveryPolicy(max_rollbacks=0)
@@ -124,7 +124,7 @@ class TestTransientResume:
 class TestPermanentSurgery:
     def test_surgery_repairs_and_verifies(self):
         params, plan, _ = captured()
-        net = CubeNetwork(params, faults=FaultPlan.from_spec(4, PERMANENT))
+        net = EnsembleNetwork(params, faults=FaultPlan.from_spec(4, PERMANENT))
         outcome = execute_with_recovery(
             plan, net, policy=RecoveryPolicy(checkpoint_every=2)
         )
@@ -137,7 +137,7 @@ class TestPermanentSurgery:
 
     def test_surgery_disabled_fails_over(self):
         params, plan, _ = captured()
-        net = CubeNetwork(params, faults=FaultPlan.from_spec(4, PERMANENT))
+        net = EnsembleNetwork(params, faults=FaultPlan.from_spec(4, PERMANENT))
         with pytest.raises(RecoveryFailedError, match="surgery disabled"):
             execute_with_recovery(
                 plan, net, policy=RecoveryPolicy(allow_surgery=False)
@@ -149,10 +149,10 @@ class TestPayloadIdentity:
         params, plan, payloads = captured(payloads=True)
         policy = RecoveryPolicy(checkpoint_every=2)
         clean = execute_with_recovery(
-            plan, CubeNetwork(params), policy=policy, payloads=payloads
+            plan, EnsembleNetwork(params), policy=policy, payloads=payloads
         )
         for spec in (TRANSIENT, PERMANENT):
-            net = CubeNetwork(params, faults=FaultPlan.from_spec(4, spec))
+            net = EnsembleNetwork(params, faults=FaultPlan.from_spec(4, spec))
             faulted = execute_with_recovery(
                 plan, net, policy=policy, payloads=payloads
             )
@@ -163,7 +163,7 @@ class TestPayloadIdentity:
     def test_collected_blocks_carry_real_arrays(self):
         params, plan, payloads = captured(payloads=True)
         outcome = execute_with_recovery(
-            plan, CubeNetwork(params), payloads=payloads
+            plan, EnsembleNetwork(params), payloads=payloads
         )
         assert outcome.collected
         for _key, (_node, block) in outcome.collected.items():
@@ -178,9 +178,9 @@ class TestPayloadIdentity:
             ) + sum(size for _, size in outcome.residual.values())
 
         clean = execute_with_recovery(
-            plan, CubeNetwork(params), payloads=payloads
+            plan, EnsembleNetwork(params), payloads=payloads
         )
-        net = CubeNetwork(params, faults=FaultPlan.from_spec(4, TRANSIENT))
+        net = EnsembleNetwork(params, faults=FaultPlan.from_spec(4, TRANSIENT))
         outcome = execute_with_recovery(
             plan,
             net,

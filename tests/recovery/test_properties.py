@@ -13,7 +13,7 @@ import functools
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.machine import CubeNetwork
+from repro.machine import EnsembleNetwork
 from repro.machine.faults import FaultPlan
 from repro.machine.presets import connection_machine
 from repro.plans.batch import resolve_problem
@@ -75,11 +75,11 @@ def test_recovered_run_is_bit_identical_to_fault_free_run(
     assume(faults.surviving_connected())
     policy = RecoveryPolicy(checkpoint_every=checkpoint_every)
     clean = execute_with_recovery(
-        plan, CubeNetwork(params), policy=policy, payloads=payloads
+        plan, EnsembleNetwork(params), policy=policy, payloads=payloads
     )
     assert clean.verified
 
-    network = CubeNetwork(params, faults=faults)
+    network = EnsembleNetwork(params, faults=faults)
     try:
         recovered = execute_with_recovery(
             plan, network, policy=policy, payloads=payloads

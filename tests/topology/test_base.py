@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.machine import CubeNetwork
+from repro.machine import EnsembleNetwork
 from repro.machine.presets import connection_machine
 from repro.topology import (
     Hypercube,
@@ -111,13 +111,13 @@ class TestValidate:
 
     def test_network_construction_runs_validate(self):
         with pytest.raises(TopologyError, match="itself"):
-            CubeNetwork(
+            EnsembleNetwork(
                 connection_machine(1), topology=_Broken([(0, 1), (0,)])
             )
 
     def test_network_rejects_node_count_mismatch(self):
         with pytest.raises(ValueError, match="16 node"):
-            CubeNetwork(connection_machine(6), topology=Hypercube(4))
+            EnsembleNetwork(connection_machine(6), topology=Hypercube(4))
 
 
 class TestGraphSurface:

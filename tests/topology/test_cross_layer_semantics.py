@@ -3,7 +3,7 @@
 import pytest
 
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, FaultPlan
+from repro.machine import EnsembleNetwork, FaultPlan
 from repro.machine.presets import connection_machine
 from repro.plans import plan_key
 from repro.plans.batch import BatchRequest, run_batch
@@ -52,7 +52,7 @@ class TestFaultSpecNaming:
         topo = parse_topology("torus:4x4", N)
         plan = FaultPlan.from_spec(N, "links=0-3", topology=topo)
         with pytest.raises(ValueError, match="interconnect"):
-            CubeNetwork(connection_machine(N), faults=plan)
+            EnsembleNetwork(connection_machine(N), faults=plan)
 
 
 class TestCapabilities:
@@ -89,10 +89,10 @@ class TestPlansAndReplay:
             params, synthetic_matrix(LAYOUT), LAYOUT, topology=topo
         )
         assert plan.machine.topology == "torus:4x4"
-        cube_net = CubeNetwork(params)
+        cube_net = EnsembleNetwork(params)
         with pytest.raises(PlanReplayError, match="torus:4x4"):
             replay_plan(plan, cube_net)
-        replay_plan(plan, CubeNetwork(params, topology=topo))
+        replay_plan(plan, EnsembleNetwork(params, topology=topo))
 
     def test_relabeling_is_cube_only(self):
         topo = parse_topology("torus:4x4", N)

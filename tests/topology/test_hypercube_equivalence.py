@@ -15,7 +15,7 @@ import pytest
 
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, FaultPlan
+from repro.machine import EnsembleNetwork, FaultPlan
 from repro.machine.presets import connection_machine, intel_ipsc
 from repro.plans import capture_transpose, plan_key
 from repro.plans.ir import MachineSpec
@@ -28,7 +28,7 @@ LAYOUT = pt.two_dim_cyclic(4, 4, 2, 2)
 
 def _run(params, *, topology=None, faults=None, algorithm="auto"):
     A = np.arange(1 << 8, dtype=np.float64).reshape(16, 16)
-    net = CubeNetwork(params, faults=faults, topology=topology)
+    net = EnsembleNetwork(params, faults=faults, topology=topology)
     result = transpose(
         net, DistributedMatrix.from_global(A, LAYOUT), LAYOUT,
         algorithm=algorithm,

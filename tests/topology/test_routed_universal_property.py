@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.layout import DistributedMatrix
-from repro.machine import CubeNetwork, FaultPlan
+from repro.machine import EnsembleNetwork, FaultPlan
 from repro.machine.faults import DisconnectedCubeError
 from repro.machine.presets import connection_machine
 from repro.plans.batch import resolve_problem
@@ -32,7 +32,7 @@ def _transpose_on(spec: str, elements_bits: int, faults=None):
     A = np.arange(1 << elements_bits, dtype=np.float64).reshape(
         1 << before.p, 1 << before.q
     )
-    net = CubeNetwork(
+    net = EnsembleNetwork(
         connection_machine(N),
         faults=faults,
         topology=parse_topology(spec, N),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.transpose.exchange import (
     conversion_bit_permutation,
     convert_layout,
@@ -22,7 +22,7 @@ def matrix(p, q, seed=3):
 def run_convert(before, after, **kw):
     A = matrix(before.p, before.q)
     dm = DistributedMatrix.from_global(A, before)
-    net = CubeNetwork(custom_machine(before.n))
+    net = EnsembleNetwork(custom_machine(before.n))
     out = convert_layout(net, dm, after, **kw)
     return A, out, net
 
@@ -102,7 +102,7 @@ class TestConvertLayout:
     def test_wrong_shape_rejected(self):
         before = pt.row_cyclic(3, 2, 1)
         dm = DistributedMatrix.iota(before)
-        net = CubeNetwork(custom_machine(1))
+        net = EnsembleNetwork(custom_machine(1))
         with pytest.raises(ValueError):
             convert_layout(net, dm, pt.row_cyclic(2, 3, 1))
 
@@ -139,7 +139,7 @@ def test_property_random_conversions(p, q, data):
     after = mk_a(p, q, n, gray=gray_a)
     A = matrix(p, q, seed=data.draw(st.integers(0, 99)))
     dm = DistributedMatrix.from_global(A, before)
-    net = CubeNetwork(custom_machine(n))
+    net = EnsembleNetwork(custom_machine(n))
     out = convert_layout(net, dm, after)
     assert np.array_equal(out.to_global(), A)
 
@@ -177,6 +177,6 @@ def test_property_two_dim_conversions(p, q, data):
     )
     A = matrix(p, q, seed=data.draw(st.integers(0, 99)))
     dm = DistributedMatrix.from_global(A, before)
-    net = CubeNetwork(custom_machine(before.n))
+    net = EnsembleNetwork(custom_machine(before.n))
     out = convert_layout(net, dm, after)
     assert np.array_equal(out.to_global(), A)

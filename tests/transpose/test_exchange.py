@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.layout import DistributedMatrix, Layout, ProcField
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, custom_machine, intel_ipsc
+from repro.machine import EnsembleNetwork, custom_machine, intel_ipsc
 from repro.transpose.exchange import (
     BufferPolicy,
     ExchangeExecutor,
@@ -28,7 +28,7 @@ def global_matrix(p, q, seed=0):
 def run_transpose(before, after, *, policy=None, machine=None):
     A = global_matrix(before.p, before.q)
     dm = DistributedMatrix.from_global(A, before)
-    net = CubeNetwork(machine or custom_machine(before.n))
+    net = EnsembleNetwork(machine or custom_machine(before.n))
     out = exchange_transpose(net, dm, after, policy=policy)
     return A, out, net
 
@@ -189,7 +189,7 @@ class TestExchangeTransposeBinary:
         after = pt.row_consecutive(2, 2, 2)
         A = global_matrix(2, 2)
         dm = DistributedMatrix.from_global(A, before)
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         out = exchange_transpose(
             net, dm, after, pairs=[(3, 1), (2, 0)]
         )
@@ -234,7 +234,7 @@ class TestExchangeTransposeGray:
         )
         A = global_matrix(3, 3)
         dm = DistributedMatrix.from_global(A, before)
-        net = CubeNetwork(custom_machine(4))
+        net = EnsembleNetwork(custom_machine(4))
         with pytest.raises(ValueError):
             exchange_transpose(net, dm, after)
 
@@ -288,7 +288,7 @@ class TestExecutorMechanics:
     def test_gray_frame_rejected(self):
         lay = pt.row_cyclic(2, 2, 1, gray=True)
         dm = DistributedMatrix.iota(lay)
-        net = CubeNetwork(custom_machine(1))
+        net = EnsembleNetwork(custom_machine(1))
         with pytest.raises(ValueError):
             ExchangeExecutor(net, dm)
 
@@ -296,19 +296,19 @@ class TestExecutorMechanics:
         lay = pt.row_cyclic(2, 2, 1)
         dm = DistributedMatrix.iota(lay)
         with pytest.raises(ValueError):
-            ExchangeExecutor(CubeNetwork(custom_machine(3)), dm)
+            ExchangeExecutor(EnsembleNetwork(custom_machine(3)), dm)
 
     def test_degenerate_step_rejected(self):
         lay = pt.row_cyclic(2, 2, 1)
         dm = DistributedMatrix.iota(lay)
-        ex = ExchangeExecutor(CubeNetwork(custom_machine(1)), dm)
+        ex = ExchangeExecutor(EnsembleNetwork(custom_machine(1)), dm)
         with pytest.raises(ValueError):
             ex.step(2, 2)
 
     def test_local_step_moves_no_messages(self):
         lay = pt.row_cyclic(2, 2, 1)
         dm = DistributedMatrix.iota(lay)
-        net = CubeNetwork(custom_machine(1))
+        net = EnsembleNetwork(custom_machine(1))
         ex = ExchangeExecutor(net, dm)
         ex.step(1, 0)  # both vp dims (proc dim is 2 here)
         assert net.stats.messages == 0
@@ -317,7 +317,7 @@ class TestExecutorMechanics:
     def test_local_step_charged_when_requested(self):
         lay = pt.row_cyclic(2, 2, 1)
         dm = DistributedMatrix.iota(lay)
-        net = CubeNetwork(custom_machine(1, t_copy=1.0))
+        net = EnsembleNetwork(custom_machine(1, t_copy=1.0))
         ex = ExchangeExecutor(
             net, dm, policy=BufferPolicy(charge_local_moves=True)
         )
@@ -327,7 +327,7 @@ class TestExecutorMechanics:
     def test_proc_proc_step_distance_two(self):
         lay = pt.two_dim_cyclic(2, 2, 1, 1)
         dm = DistributedMatrix.iota(lay)
-        net = CubeNetwork(custom_machine(2, tau=1.0, t_c=0.0))
+        net = EnsembleNetwork(custom_machine(2, tau=1.0, t_c=0.0))
         ex = ExchangeExecutor(net, dm)
         ex.step(2, 0)  # u_0 and v_0: the single SPT pair here
         # Two phases (two hops), each one start-up per moving node.
@@ -386,6 +386,6 @@ def test_property_random_binary_layout_pairs(p, q, data):
     after = mk_a(q, p, n)
     A = global_matrix(p, q, seed=data.draw(st.integers(0, 99)))
     dm = DistributedMatrix.from_global(A, before)
-    net = CubeNetwork(custom_machine(n))
+    net = EnsembleNetwork(custom_machine(n))
     out = exchange_transpose(net, dm, after)
     assert np.array_equal(out.to_global(), A.T)

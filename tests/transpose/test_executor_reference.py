@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.layout import DistributedMatrix, Layout, ProcField
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.transpose.exchange import ExchangeExecutor
 
 
@@ -57,7 +57,7 @@ def test_executor_matches_abstract_permutation(case):
     dm = DistributedMatrix.from_global(
         flat.reshape(1 << layout.p, 1 << layout.q), layout
     )
-    net = CubeNetwork(custom_machine(layout.n))
+    net = EnsembleNetwork(custom_machine(layout.n))
     ex = ExchangeExecutor(net, dm)
     ex.run(pairs)
     result = ex.finish(layout)
@@ -75,7 +75,7 @@ def test_executor_matches_abstract_permutation(case):
 def test_executor_leaves_network_clean(case):
     layout, pairs = case
     dm = DistributedMatrix.iota(layout)
-    net = CubeNetwork(custom_machine(layout.n))
+    net = EnsembleNetwork(custom_machine(layout.n))
     ex = ExchangeExecutor(net, dm)
     ex.run(pairs)
     for x in range(net.params.num_procs):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.transpose.mixed import (
     mixed_code_transpose_combined,
     mixed_code_transpose_naive,
@@ -39,7 +39,7 @@ class TestCombined:
     def test_produces_transpose(self, enc, p, half):
         before, after = mixed_layouts(p, half, **enc)
         A = matrix(p)
-        net = CubeNetwork(custom_machine(2 * half))
+        net = EnsembleNetwork(custom_machine(2 * half))
         out = mixed_code_transpose_combined(
             net, DistributedMatrix.from_global(A, before), after
         )
@@ -50,7 +50,7 @@ class TestCombined:
         n = 2 * half
         before, after = mixed_layouts(p, half)
         A = matrix(p)
-        net = CubeNetwork(custom_machine(n))
+        net = EnsembleNetwork(custom_machine(n))
         mixed_code_transpose_combined(
             net, DistributedMatrix.from_global(A, before), after
         )
@@ -60,7 +60,7 @@ class TestCombined:
         before = pt.two_dim_mixed(3, 3, 2, 1, rows="cyclic", cols="cyclic")
         after = pt.two_dim_mixed(3, 3, 2, 1, rows="cyclic", cols="cyclic")
         dm = DistributedMatrix.iota(before)
-        net = CubeNetwork(custom_machine(3))
+        net = EnsembleNetwork(custom_machine(3))
         with pytest.raises(ValueError):
             mixed_code_transpose_combined(net, dm, after)
 
@@ -71,7 +71,7 @@ class TestNaive:
     def test_produces_transpose(self, enc, p, half):
         before, after = mixed_layouts(p, half, **enc)
         A = matrix(p)
-        net = CubeNetwork(custom_machine(2 * half))
+        net = EnsembleNetwork(custom_machine(2 * half))
         out = mixed_code_transpose_naive(
             net, DistributedMatrix.from_global(A, before), after
         )
@@ -82,7 +82,7 @@ class TestNaive:
         n = 2 * half
         before, after = mixed_layouts(p, half)
         A = matrix(p)
-        net = CubeNetwork(custom_machine(n))
+        net = EnsembleNetwork(custom_machine(n))
         mixed_code_transpose_naive(
             net, DistributedMatrix.from_global(A, before), after
         )
@@ -99,11 +99,11 @@ class TestComparison:
             before, after = mixed_layouts(p, half)
             A = matrix(p)
 
-            nv = CubeNetwork(custom_machine(n, tau=1.0, t_c=1.0))
+            nv = EnsembleNetwork(custom_machine(n, tau=1.0, t_c=1.0))
             mixed_code_transpose_naive(
                 nv, DistributedMatrix.from_global(A, before), after
             )
-            cb = CubeNetwork(custom_machine(n, tau=1.0, t_c=1.0))
+            cb = EnsembleNetwork(custom_machine(n, tau=1.0, t_c=1.0))
             mixed_code_transpose_combined(
                 cb, DistributedMatrix.from_global(A, before), after
             )
@@ -116,11 +116,11 @@ class TestComparison:
         p, half = 4, 2
         before, after = mixed_layouts(p, half)
         A = matrix(p)
-        n1 = CubeNetwork(custom_machine(2 * half))
+        n1 = EnsembleNetwork(custom_machine(2 * half))
         out1 = mixed_code_transpose_naive(
             n1, DistributedMatrix.from_global(A, before), after
         )
-        n2 = CubeNetwork(custom_machine(2 * half))
+        n2 = EnsembleNetwork(custom_machine(2 * half))
         out2 = mixed_code_transpose_combined(
             n2, DistributedMatrix.from_global(A, before), after
         )

@@ -12,7 +12,7 @@ import numpy as np
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
 from repro.layout.classify import CommClass, classify_transpose
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.transpose.exchange import exchange_transpose
 from repro.transpose.one_dim import block_transpose
 
@@ -35,7 +35,7 @@ class TestMixedClassTranspose:
         before, after = mixed_pair()
         rng = np.random.default_rng(4)
         A = rng.standard_normal((8, 8))
-        net = CubeNetwork(custom_machine(4))
+        net = EnsembleNetwork(custom_machine(4))
         out = exchange_transpose(
             net, DistributedMatrix.from_global(A, before), after
         )
@@ -47,9 +47,9 @@ class TestMixedClassTranspose:
         A = rng.standard_normal((8, 8))
         dm = DistributedMatrix.from_global(A, before)
 
-        ex_net = CubeNetwork(custom_machine(4))
+        ex_net = EnsembleNetwork(custom_machine(4))
         via_exchange = exchange_transpose(ex_net, dm, after)
-        bl_net = CubeNetwork(custom_machine(4))
+        bl_net = EnsembleNetwork(custom_machine(4))
         via_blocks = block_transpose(bl_net, dm, after)
         assert np.array_equal(via_exchange.local_data, via_blocks.local_data)
 
@@ -60,7 +60,7 @@ class TestMixedClassTranspose:
         rng = np.random.default_rng(4)
         A = rng.standard_normal((8, 8))
 
-        mixed_net = CubeNetwork(custom_machine(4))
+        mixed_net = EnsembleNetwork(custom_machine(4))
         exchange_transpose(
             mixed_net, DistributedMatrix.from_global(A, before), after
         )
@@ -68,7 +68,7 @@ class TestMixedClassTranspose:
         # A disjoint-field pair of the same size for comparison.
         b2 = pt.two_dim_consecutive(3, 3, 2, 2)
         a2 = pt.two_dim_cyclic(3, 3, 2, 2)
-        all_net = CubeNetwork(custom_machine(4))
+        all_net = EnsembleNetwork(custom_machine(4))
         exchange_transpose(
             all_net, DistributedMatrix.from_global(A, b2), a2
         )
@@ -81,7 +81,7 @@ class TestMixedClassTranspose:
         after = pt.two_dim_mixed(3, 4, 1, 2, rows="consecutive", cols="cyclic")
         rng = np.random.default_rng(9)
         A = rng.standard_normal((16, 8))
-        net = CubeNetwork(custom_machine(3))
+        net = EnsembleNetwork(custom_machine(3))
         out = exchange_transpose(
             net, DistributedMatrix.from_global(A, before), after
         )

@@ -5,7 +5,7 @@ import pytest
 
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.machine.params import PortModel
 from repro.transpose.one_dim import (
     block_transpose,
@@ -24,7 +24,7 @@ class TestExchangeWrapper:
         before = pt.row_consecutive(4, 3, 3)
         after = pt.row_consecutive(3, 4, 3)
         A = matrix(4, 3)
-        net = CubeNetwork(custom_machine(3))
+        net = EnsembleNetwork(custom_machine(3))
         out = one_dim_transpose_exchange(
             net, DistributedMatrix.from_global(A, before), after
         )
@@ -35,7 +35,7 @@ class TestExchangeWrapper:
         before = pt.two_dim_cyclic(3, 3, 1, 1)
         after = pt.row_consecutive(3, 3, 2)
         dm = DistributedMatrix.iota(before)
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         with pytest.raises(ValueError):
             one_dim_transpose_exchange(net, dm, after)
 
@@ -46,7 +46,7 @@ class TestSbnt:
         before = pt.row_consecutive(4, 4, n)
         after = pt.row_consecutive(4, 4, n)
         A = matrix(4, 4)
-        net = CubeNetwork(custom_machine(n, port_model=PortModel.N_PORT))
+        net = EnsembleNetwork(custom_machine(n, port_model=PortModel.N_PORT))
         out = one_dim_transpose_sbnt(
             net, DistributedMatrix.from_global(A, before), after
         )
@@ -58,11 +58,11 @@ class TestSbnt:
         after = pt.row_consecutive(5, 5, n)
         A = matrix(5, 5)
 
-        net1 = CubeNetwork(custom_machine(n, tau=0.0, t_c=1.0))
+        net1 = EnsembleNetwork(custom_machine(n, tau=0.0, t_c=1.0))
         one_dim_transpose_exchange(
             net1, DistributedMatrix.from_global(A, before), after
         )
-        netn = CubeNetwork(
+        netn = EnsembleNetwork(
             custom_machine(n, tau=0.0, t_c=1.0, port_model=PortModel.N_PORT)
         )
         one_dim_transpose_sbnt(
@@ -86,7 +86,7 @@ class TestBlockTranspose:
         before = mk_b(p, q, n)
         after = mk_a(q, p, n)
         A = matrix(p, q)
-        net = CubeNetwork(custom_machine(n))
+        net = EnsembleNetwork(custom_machine(n))
         out = block_transpose(
             net, DistributedMatrix.from_global(A, before), after, router=router
         )
@@ -98,7 +98,7 @@ class TestBlockTranspose:
         before = pt.row_consecutive(3, 3, 2, gray=True)
         after = pt.row_consecutive(3, 3, 2, gray=True)
         A = matrix(3, 3)
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         out = block_transpose(
             net, DistributedMatrix.from_global(A, before), after
         )
@@ -112,7 +112,7 @@ class TestBlockTranspose:
             3, 3, 1, 1, rows="cyclic", cols="cyclic", col_gray=True
         )
         A = matrix(3, 3)
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         out = block_transpose(
             net, DistributedMatrix.from_global(A, before), after
         )
@@ -122,7 +122,7 @@ class TestBlockTranspose:
         before = pt.two_dim_cyclic(3, 3, 1, 1)
         after = pt.two_dim_cyclic(3, 3, 1, 1)
         A = matrix(3, 3)
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         out = block_transpose(
             net, DistributedMatrix.from_global(A, before), after
         )
@@ -131,7 +131,7 @@ class TestBlockTranspose:
     def test_unknown_router_rejected(self):
         before = pt.row_cyclic(2, 2, 1)
         dm = DistributedMatrix.iota(before)
-        net = CubeNetwork(custom_machine(1))
+        net = EnsembleNetwork(custom_machine(1))
         with pytest.raises(ValueError):
             block_transpose(net, dm, pt.row_cyclic(2, 2, 1), router="carrier-pigeon")
 
@@ -139,7 +139,7 @@ class TestBlockTranspose:
         before = pt.row_cyclic(3, 3, 2)
         after = pt.row_cyclic(3, 3, 1)
         dm = DistributedMatrix.iota(before)
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         with pytest.raises(ValueError):
             block_transpose(net, dm, after)
 
@@ -147,7 +147,7 @@ class TestBlockTranspose:
         before = pt.row_consecutive(3, 3, 2)
         after = pt.row_consecutive(3, 3, 2)
         A = matrix(3, 3)
-        net = CubeNetwork(custom_machine(2, t_copy=1.0))
+        net = EnsembleNetwork(custom_machine(2, t_copy=1.0))
         block_transpose(
             net,
             DistributedMatrix.from_global(A, before),
@@ -160,7 +160,7 @@ class TestBlockTranspose:
         before = pt.row_cyclic(2, 2, 0)
         after = pt.row_cyclic(2, 2, 0)
         A = matrix(2, 2)
-        net = CubeNetwork(custom_machine(0))
+        net = EnsembleNetwork(custom_machine(0))
         out = block_transpose(
             net, DistributedMatrix.from_global(A, before), after
         )

@@ -12,7 +12,7 @@ import pytest
 
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.transpose.exchange import BufferPolicy, ExchangeExecutor
 
 
@@ -22,7 +22,7 @@ def setup(n=2, p=4, q=4, **machine_kw):
     layout = pt.row_consecutive(p, q, n)
     dm = DistributedMatrix.iota(layout)
     dm = DistributedMatrix(layout, dm.local_data.astype(np.float64))
-    net = CubeNetwork(custom_machine(n, **machine_kw))
+    net = EnsembleNetwork(custom_machine(n, **machine_kw))
     return layout, dm, net
 
 
@@ -60,14 +60,14 @@ class TestRunStructure:
         layout, dm, net = setup(t_copy=0.25)
         # Runs of 2^3 = 8 for vp offset bit 3; threshold 16 buffers them,
         # threshold 8 sends them direct.
-        direct_net = CubeNetwork(custom_machine(2, tau=1.0, t_c=0.0))
+        direct_net = EnsembleNetwork(custom_machine(2, tau=1.0, t_c=0.0))
         ex = ExchangeExecutor(
             direct_net,
             dm,
             policy=BufferPolicy("threshold", min_unbuffered_run=8),
         )
         ex.step(layout.proc_dims[0], 3)  # offset bit 3: runs of 8
-        buffered_net = CubeNetwork(custom_machine(2, tau=1.0, t_c=0.0, t_copy=0.25))
+        buffered_net = EnsembleNetwork(custom_machine(2, tau=1.0, t_c=0.0, t_copy=0.25))
         ex2 = ExchangeExecutor(
             buffered_net,
             dm,
@@ -108,7 +108,7 @@ class TestPolicyCostOrdering:
             )
             times = {}
             for mode in ("unbuffered", "buffered", "threshold"):
-                net = CubeNetwork(intel_ipsc(4))
+                net = EnsembleNetwork(intel_ipsc(4))
                 one_dim_transpose_exchange(
                     net, dm, after, policy=BufferPolicy(mode=mode)
                 )
@@ -130,7 +130,7 @@ class TestBlockedStrategy:
         after = pt.row_consecutive(4, 4, n)
         dm = DistributedMatrix.iota(before)
         dm = DistributedMatrix(before, dm.local_data.astype(np.float64))
-        net = CubeNetwork(custom_machine(n, tau=1.0, t_c=0.0))
+        net = EnsembleNetwork(custom_machine(n, tau=1.0, t_c=0.0))
         rec = TraceRecorder()
         net.observer = rec
         one_dim_transpose_exchange(
@@ -150,10 +150,10 @@ class TestBlockedStrategy:
         A = rng.standard_normal((16, 16))
         dm = DistributedMatrix.from_global(A, before)
         a = exchange_transpose(
-            CubeNetwork(custom_machine(3)), dm, after, strategy="direct"
+            EnsembleNetwork(custom_machine(3)), dm, after, strategy="direct"
         )
         b = exchange_transpose(
-            CubeNetwork(custom_machine(3)), dm, after, strategy="blocked"
+            EnsembleNetwork(custom_machine(3)), dm, after, strategy="blocked"
         )
         assert np.array_equal(a.local_data, b.local_data)
         assert np.array_equal(a.to_global(), A.T)
@@ -183,7 +183,7 @@ class TestBlockedStrategy:
 
         before = pt.row_consecutive(3, 3, 2)
         dm = DistributedMatrix.iota(before)
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         with pytest.raises(ValueError):
             exchange_transpose(
                 net, dm, pt.row_consecutive(3, 3, 2), strategy="zigzag"

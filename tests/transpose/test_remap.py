@@ -5,7 +5,7 @@ import pytest
 
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.transpose.remap import remap_pair_sequence, remap_transpose
 
 
@@ -72,7 +72,7 @@ class TestRemapTranspose:
     def test_produces_transpose(self, alg, p, nr):
         before, after = layouts(p, nr)
         A = matrix(p)
-        net = CubeNetwork(custom_machine(2 * nr))
+        net = EnsembleNetwork(custom_machine(2 * nr))
         out = remap_transpose(
             net, DistributedMatrix.from_global(A, before), after, algorithm=alg
         )
@@ -84,11 +84,11 @@ class TestRemapTranspose:
         before, after = layouts(p, nr)
         A = matrix(p)
 
-        t1 = CubeNetwork(custom_machine(2 * nr, tau=1.0, t_c=1.0))
+        t1 = EnsembleNetwork(custom_machine(2 * nr, tau=1.0, t_c=1.0))
         remap_transpose(
             t1, DistributedMatrix.from_global(A, before), after, algorithm=1
         )
-        t3 = CubeNetwork(custom_machine(2 * nr, tau=1.0, t_c=1.0))
+        t3 = EnsembleNetwork(custom_machine(2 * nr, tau=1.0, t_c=1.0))
         remap_transpose(
             t3, DistributedMatrix.from_global(A, before), after, algorithm=3
         )
@@ -100,7 +100,7 @@ class TestRemapTranspose:
         A = matrix(p)
         outs = []
         for alg in (1, 2, 3):
-            net = CubeNetwork(custom_machine(2 * nr))
+            net = EnsembleNetwork(custom_machine(2 * nr))
             out = remap_transpose(
                 net, DistributedMatrix.from_global(A, before), after, algorithm=alg
             )
@@ -119,9 +119,9 @@ class TestOrderReversal:
         before, after = layouts(p, nr)
         A = matrix(p)
         dm = DistributedMatrix.from_global(A, before)
-        rf_net = CubeNetwork(custom_machine(2 * nr, tau=1.0, t_c=1.0))
+        rf_net = EnsembleNetwork(custom_machine(2 * nr, tau=1.0, t_c=1.0))
         rf = remap_transpose(rf_net, dm, after, algorithm=alg)
-        cf_net = CubeNetwork(custom_machine(2 * nr, tau=1.0, t_c=1.0))
+        cf_net = EnsembleNetwork(custom_machine(2 * nr, tau=1.0, t_c=1.0))
         cf = remap_transpose(
             cf_net, dm, after, algorithm=alg, columns_first=True
         )

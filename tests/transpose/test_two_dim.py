@@ -5,7 +5,7 @@ import pytest
 
 from repro.layout import DistributedMatrix
 from repro.layout import partition as pt
-from repro.machine import CubeNetwork, custom_machine
+from repro.machine import EnsembleNetwork, custom_machine
 from repro.machine.params import PortModel
 from repro.transpose.two_dim import (
     pairwise_maps,
@@ -66,7 +66,7 @@ class TestCorrectness:
         p, half = 4, 2
         before, after = square_layouts(p, half, scheme=scheme)
         A = matrix(p, p)
-        net = CubeNetwork(
+        net = EnsembleNetwork(
             custom_machine(2 * half, port_model=PortModel.N_PORT)
         )
         out = ALGOS[name](net, DistributedMatrix.from_global(A, before), after)
@@ -78,14 +78,14 @@ class TestCorrectness:
         p, half = 3, 1
         before, after = square_layouts(p, half, gray=True)
         A = matrix(p, p)
-        net = CubeNetwork(custom_machine(2, port_model=PortModel.N_PORT))
+        net = EnsembleNetwork(custom_machine(2, port_model=PortModel.N_PORT))
         out = ALGOS[name](net, DistributedMatrix.from_global(A, before), after)
         assert np.array_equal(out.to_global(), A.T)
 
     def test_six_cube(self):
         before, after = square_layouts(3, 3)
         A = matrix(3, 3)
-        net = CubeNetwork(custom_machine(6, port_model=PortModel.N_PORT))
+        net = EnsembleNetwork(custom_machine(6, port_model=PortModel.N_PORT))
         out = two_dim_transpose_mpt(
             net, DistributedMatrix.from_global(A, before), after
         )
@@ -94,14 +94,14 @@ class TestCorrectness:
     def test_invalid_rounds(self):
         before, after = square_layouts(2, 1)
         dm = DistributedMatrix.iota(before)
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         with pytest.raises(ValueError):
             two_dim_transpose_mpt(net, dm, after, rounds=0)
 
     def test_bad_packet_size(self):
         before, after = square_layouts(2, 1)
         dm = DistributedMatrix.iota(before)
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         with pytest.raises(ValueError):
             two_dim_transpose_spt(net, dm, after, packet_size=0)
 
@@ -114,7 +114,7 @@ class TestTiming:
         before, after = square_layouts(p, half)
         A = matrix(p, p)
         tau, t_c, B_m = 7.0, 2.0, 8
-        net = CubeNetwork(custom_machine(n, tau=tau, t_c=t_c, packet_capacity=B_m))
+        net = EnsembleNetwork(custom_machine(n, tau=tau, t_c=t_c, packet_capacity=B_m))
         two_dim_transpose_spt(
             net, DistributedMatrix.from_global(A, before), after
         )
@@ -133,7 +133,7 @@ class TestTiming:
         # Pipelined SPT needs n concurrent operations per node (§6.1.2's
         # comparison: "it suffices that each node supports a total of n
         # concurrent send or receive operations").
-        net = CubeNetwork(
+        net = EnsembleNetwork(
             custom_machine(n, tau=tau, t_c=t_c, port_model=PortModel.N_PORT)
         )
         two_dim_transpose_spt(
@@ -152,13 +152,13 @@ class TestTiming:
         A = matrix(p, p)
         B = 2
 
-        spt_net = CubeNetwork(
+        spt_net = EnsembleNetwork(
             custom_machine(n, tau=0.0, t_c=1.0, port_model=PortModel.N_PORT)
         )
         two_dim_transpose_spt(
             spt_net, DistributedMatrix.from_global(A, before), after, packet_size=B
         )
-        dpt_net = CubeNetwork(
+        dpt_net = EnsembleNetwork(
             custom_machine(n, tau=0.0, t_c=1.0, port_model=PortModel.N_PORT)
         )
         two_dim_transpose_dpt(
@@ -182,7 +182,7 @@ class TestTiming:
         L = before.local_size
 
         b_opt = max(1, round(math.sqrt(L * tau / (2 * (n - 1) * t_c))))
-        dpt_net = CubeNetwork(
+        dpt_net = EnsembleNetwork(
             custom_machine(n, tau=tau, t_c=t_c, port_model=PortModel.N_PORT)
         )
         two_dim_transpose_dpt(
@@ -191,7 +191,7 @@ class TestTiming:
             after,
             packet_size=b_opt,
         )
-        mpt_net = CubeNetwork(
+        mpt_net = EnsembleNetwork(
             custom_machine(n, tau=tau, t_c=t_c, port_model=PortModel.N_PORT)
         )
         two_dim_transpose_mpt(
@@ -206,13 +206,13 @@ class TestTiming:
         n = 2 * half
         before, after = square_layouts(p, half)
         A = matrix(p, p)
-        dpt_net = CubeNetwork(
+        dpt_net = EnsembleNetwork(
             custom_machine(n, tau=0.0, t_c=1.0, port_model=PortModel.N_PORT)
         )
         two_dim_transpose_dpt(
             dpt_net, DistributedMatrix.from_global(A, before), after, packet_size=2
         )
-        mpt_net = CubeNetwork(
+        mpt_net = EnsembleNetwork(
             custom_machine(n, tau=0.0, t_c=1.0, port_model=PortModel.N_PORT)
         )
         two_dim_transpose_mpt(
@@ -228,7 +228,7 @@ class TestTiming:
         before, after = square_layouts(p, half)
         A = matrix(p, p)
         k = 2
-        net = CubeNetwork(custom_machine(n, port_model=PortModel.N_PORT))
+        net = EnsembleNetwork(custom_machine(n, port_model=PortModel.N_PORT))
         two_dim_transpose_mpt(
             net, DistributedMatrix.from_global(A, before), after, rounds=k
         )
@@ -243,11 +243,11 @@ class TestTiming:
         before, after = square_layouts(p, half)
         A = matrix(p, p)
 
-        r_net = CubeNetwork(custom_machine(n, tau=1.0, t_c=1.0))
+        r_net = EnsembleNetwork(custom_machine(n, tau=1.0, t_c=1.0))
         two_dim_transpose_router(
             r_net, DistributedMatrix.from_global(A, before), after
         )
-        s_net = CubeNetwork(custom_machine(n, tau=1.0, t_c=1.0))
+        s_net = EnsembleNetwork(custom_machine(n, tau=1.0, t_c=1.0))
         two_dim_transpose_spt(
             s_net, DistributedMatrix.from_global(A, before), after
         )
@@ -257,7 +257,7 @@ class TestTiming:
         p, half = 4, 2
         before, after = square_layouts(p, half)
         A = matrix(p, p)
-        net = CubeNetwork(custom_machine(4, t_copy=1.0))
+        net = EnsembleNetwork(custom_machine(4, t_copy=1.0))
         two_dim_transpose_spt(
             net, DistributedMatrix.from_global(A, before), after, charge_copy=True
         )
@@ -270,11 +270,11 @@ class TestVariants:
         p, half = 4, 2
         before, after = square_layouts(p, half)
         A = matrix(p, p)
-        sync_net = CubeNetwork(custom_machine(4, port_model=PortModel.N_PORT))
+        sync_net = EnsembleNetwork(custom_machine(4, port_model=PortModel.N_PORT))
         sync = two_dim_transpose_spt(
             sync_net, DistributedMatrix.from_global(A, before), after
         )
-        greedy_net = CubeNetwork(custom_machine(4, port_model=PortModel.N_PORT))
+        greedy_net = EnsembleNetwork(custom_machine(4, port_model=PortModel.N_PORT))
         greedy = two_dim_transpose_spt(
             greedy_net,
             DistributedMatrix.from_global(A, before),
@@ -289,7 +289,7 @@ class TestVariants:
         p, half = 4, 2
         before, after = square_layouts(p, half)
         A = matrix(p, p)
-        net = CubeNetwork(custom_machine(4, port_model=PortModel.N_PORT))
+        net = EnsembleNetwork(custom_machine(4, port_model=PortModel.N_PORT))
         out = two_dim_transpose_spt(
             net,
             DistributedMatrix.from_global(A, before),
@@ -310,11 +310,11 @@ class TestVariants:
             4, 4, 2, 2, rows="cyclic", cols="cyclic", col_gray=True
         )
         A = matrix(4, 4)
-        whole_net = CubeNetwork(custom_machine(4, port_model=PortModel.N_PORT))
+        whole_net = EnsembleNetwork(custom_machine(4, port_model=PortModel.N_PORT))
         whole = mixed_code_transpose_combined(
             whole_net, DistributedMatrix.from_global(A, before), after
         )
-        pipe_net = CubeNetwork(custom_machine(4, port_model=PortModel.N_PORT))
+        pipe_net = EnsembleNetwork(custom_machine(4, port_model=PortModel.N_PORT))
         piped = mixed_code_transpose_combined(
             pipe_net,
             DistributedMatrix.from_global(A, before),
@@ -336,13 +336,13 @@ class TestVariants:
         )
         A = matrix(5, 5)
         # Transfer-bound machine: pipelining overlaps the hops.
-        whole_net = CubeNetwork(
+        whole_net = EnsembleNetwork(
             custom_machine(4, tau=0.5, t_c=1.0, port_model=PortModel.N_PORT)
         )
         mixed_code_transpose_combined(
             whole_net, DistributedMatrix.from_global(A, before), after
         )
-        pipe_net = CubeNetwork(
+        pipe_net = EnsembleNetwork(
             custom_machine(4, tau=0.5, t_c=1.0, port_model=PortModel.N_PORT)
         )
         mixed_code_transpose_combined(
@@ -359,6 +359,6 @@ class TestVariants:
         before = pt.two_dim_mixed(3, 3, 1, 1, col_gray=True, rows="cyclic")
         after = pt.two_dim_mixed(3, 3, 1, 1, col_gray=True, rows="cyclic")
         dm = DistributedMatrix.iota(before)
-        net = CubeNetwork(custom_machine(2))
+        net = EnsembleNetwork(custom_machine(2))
         with pytest.raises(ValueError):
             mixed_code_transpose_combined(net, dm, after, packet_size=0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.presets import connection_machine
 from repro.plans.ir import PhaseOp, RemapOp
 from repro.plans.replay import replay_plan
@@ -23,9 +23,9 @@ class TestFusion:
         naive, _ = pipeline.compile(params, fuse=False)
         assert phase_count(fused) < phase_count(naive)
 
-        fused_net = CubeNetwork(connection_machine(6))
+        fused_net = EnsembleNetwork(connection_machine(6))
         replay_plan(fused, fused_net)
-        naive_net = CubeNetwork(connection_machine(6))
+        naive_net = EnsembleNetwork(connection_machine(6))
         replay_plan(naive, naive_net)
         assert fused_net.stats.time < naive_net.stats.time
         assert fused_net.stats.startups < naive_net.stats.startups
@@ -67,7 +67,7 @@ class TestFusion:
         params = connection_machine(4)
         pipeline = build_pipeline("gray+binary@16x16", 4)
         plan, _ = pipeline.compile(params)
-        network = CubeNetwork(connection_machine(4))
+        network = EnsembleNetwork(connection_machine(4))
         replay_plan(plan, network)
 
 
@@ -85,16 +85,16 @@ class TestExecuteBitIdentity:
         pipeline = build_pipeline(spec, n)
         rows, cols = pipeline.shape.rows, pipeline.shape.cols
         a = np.arange(rows * cols, dtype=np.float64).reshape(rows, cols)
-        network = CubeNetwork(connection_machine(n))
+        network = EnsembleNetwork(connection_machine(n))
         out = pipeline.execute(network, a)
         assert np.array_equal(out, pipeline.reference(a))
 
     def test_unfused_execution_is_bit_identical_to_fused(self):
         pipeline = build_pipeline("fft@64x64", 6)
         a = np.arange(64 * 64, dtype=np.float64).reshape(64, 64)
-        fused = pipeline.execute(CubeNetwork(connection_machine(6)), a)
+        fused = pipeline.execute(EnsembleNetwork(connection_machine(6)), a)
         naive = pipeline.execute(
-            CubeNetwork(connection_machine(6)), a, fuse=False
+            EnsembleNetwork(connection_machine(6)), a, fuse=False
         )
         assert np.array_equal(fused, naive)
 
@@ -104,9 +104,9 @@ class TestCompileReplay:
         params = connection_machine(6)
         pipeline = build_pipeline("fft@64x64", 6)
         plan, _ = pipeline.compile(params)
-        a_stats = CubeNetwork(params)
+        a_stats = EnsembleNetwork(params)
         replay_plan(plan, a_stats)
-        b_stats = CubeNetwork(params)
+        b_stats = EnsembleNetwork(params)
         replay_plan(plan, b_stats)
         assert a_stats.stats.as_dict() == b_stats.stats.as_dict()
 
@@ -162,7 +162,7 @@ class TestChainPlans:
         # transpose of a square embedded domain mirrors back, so the
         # second plan's before-layout continues the first's after.
         chained = chain_plans([first, back])
-        network = CubeNetwork(params)
+        network = EnsembleNetwork(params)
         replay_plan(chained, network)
         assert chained.comm_class == "pipeline"
 

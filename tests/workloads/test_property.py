@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.machine.engine import CubeNetwork
+from repro.machine.engine import EnsembleNetwork
 from repro.machine.faults import FaultPlan
 from repro.machine.presets import connection_machine
 from repro.plans.cache import PlanCache
@@ -60,7 +60,7 @@ class TestPipelineProperty:
             assume(False)  # e.g. a fusible stage directly after "gray"
         rng = np.random.default_rng(seed)
         a = rng.standard_normal(shape)
-        out = pipeline.execute(CubeNetwork(connection_machine(4)), a)
+        out = pipeline.execute(EnsembleNetwork(connection_machine(4)), a)
         assert np.array_equal(out, reference_composition(pipeline, a))
         assert np.array_equal(out, pipeline.reference(a))
 
@@ -120,7 +120,7 @@ class TestAxisPermutations:
             f"pipeline:{stage.token}@{1 << p}x{1 << q}", 4
         )
         a = np.arange(1 << m, dtype=np.float64).reshape(1 << p, 1 << q)
-        out = pipeline.execute(CubeNetwork(connection_machine(4)), a)
+        out = pipeline.execute(EnsembleNetwork(connection_machine(4)), a)
         expected = (
             np.transpose(a.reshape([1 << b for b in axis_bits]), axes)
             .reshape(1 << p, 1 << q)
@@ -134,6 +134,6 @@ class TestAxisPermutations:
         pipeline = build_pipeline("pipeline:bitrev+transpose@511x134", 4)
         rng = np.random.default_rng(7)
         a = rng.standard_normal((511, 134))
-        out = pipeline.execute(CubeNetwork(connection_machine(4)), a)
+        out = pipeline.execute(EnsembleNetwork(connection_machine(4)), a)
         assert out.shape == (134, 511)
         assert np.array_equal(out, pipeline.reference(a))
