@@ -11,8 +11,10 @@ from repro.plans.batch import (
     BatchOutcome,
     BatchReport,
     BatchRequest,
+    ResolvedProblem,
     resolve_problem,
     run_batch,
+    serve,
 )
 from repro.plans.cache import PlanCache, plan_key
 from repro.plans.ir import (
@@ -73,6 +75,7 @@ __all__ = [
     "PlanReplayError",
     "RecordingNetwork",
     "RemapOp",
+    "ResolvedProblem",
     "SymbolicError",
     "SymbolicState",
     "canonical_key",
@@ -84,6 +87,7 @@ __all__ = [
     "replay_plan",
     "resolve_problem",
     "run_batch",
+    "serve",
     "simulate_ops",
     "synthetic_matrix",
 ]

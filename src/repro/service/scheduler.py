@@ -20,37 +20,21 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.layout.fields import Layout
-from repro.machine.params import MachineParams
 from repro.obs.trace import TraceContext
-from repro.plans.batch import resolve_problem
-from repro.plans.cache import plan_key
+from repro.plans.batch import ResolvedProblem
 from repro.service.queue import AdmissionPolicy, AdmissionQueue, QueueEntry
 from repro.service.request import ServeOutcome, TransposeRequest
 
 __all__ = ["PendingResult", "ResolvedRequest", "Scheduler", "resolve_request"]
 
 
-@dataclass(frozen=True)
-class ResolvedRequest:
-    """A request after one-time planning-side resolution."""
+@dataclass(frozen=True, kw_only=True)
+class ResolvedRequest(ResolvedProblem):
+    """A request after one-time planning-side resolution: its problem's
+    :class:`~repro.plans.batch.ResolvedProblem` plus the request
+    identity the worker serves it under."""
 
     request: TransposeRequest
-    params: MachineParams
-    before: Layout
-    #: Explicit target layout (``None`` keeps the planner's default).
-    after: Layout | None
-    #: Concrete algorithm tier (``auto`` resolved through §9 selection).
-    algorithm: str
-    key: str
-    #: Canonical interconnect spec.  Workers re-parse it per request so
-    #: no Topology instance (or its mutable BFS distance cache) is ever
-    #: shared across worker threads.
-    topology: str = "cube"
-    #: Canonical composite-pipeline spec for ``workload=`` requests
-    #: (``None`` for ordinary transposes).  Workers re-parse it per
-    #: request — a Pipeline is cheap and never shared across threads.
-    workload: str | None = None
     #: Trace identity minted by the server at submission (``None`` when
     #: tracing is off); the worker opens the request's root span in it.
     trace: TraceContext | None = None
@@ -64,84 +48,12 @@ def resolve_request(request: TransposeRequest) -> ResolvedRequest:
 
     Raises :class:`ValueError` on malformed problems (bad element
     counts, unknown layouts, machines or topologies), exactly as the
-    batch layer does — the server turns that into a synchronous
-    rejection rather than a dead queue entry.
+    batch layer does — both go through
+    :meth:`~repro.plans.batch.BatchRequest.resolve` — and the server
+    turns that into a synchronous rejection rather than a dead queue
+    entry.
     """
-    from repro.topology import parse_topology, supported_algorithms
-    from repro.transpose.planner import default_after_layout, select_algorithm
-
-    problem = request.problem
-    params = problem.machine_params()
-    topo = parse_topology(problem.topology, problem.n)
-    if topo.num_nodes != 1 << problem.n:
-        raise ValueError(
-            f"topology {topo.spec!r} has {topo.num_nodes} nodes but the "
-            f"request needs 2^{problem.n} = {1 << problem.n}"
-        )
-    if problem.workload:
-        # Composite pipeline: the spec is parsed (typed per-token
-        # errors), the pipeline built (layout fit / stage ordering
-        # errors) and keyed — all at admission, like the transpose path.
-        from repro.workloads import build_pipeline
-
-        if topo.name != "cube":
-            raise ValueError(
-                "workload pipelines require the cube topology "
-                f"(requested {topo.spec!r})"
-            )
-        pipeline = build_pipeline(
-            problem.workload,
-            problem.n,
-            layout=problem.layout,
-            elements=problem.elements,
-        )
-        if problem.faults:
-            from repro.machine.faults import FaultPlan
-
-            FaultPlan.from_spec(problem.n, problem.faults)
-        return ResolvedRequest(
-            request=request,
-            params=params,
-            before=pipeline.before,
-            after=pipeline.after,
-            algorithm=pipeline.algorithm,
-            key=pipeline.key(params),
-            topology=topo.spec,
-            workload=pipeline.spec,
-        )
-    before, after = resolve_problem(problem.n, problem.elements, problem.layout)
-    target = after if after is not None else default_after_layout(before)
-    name = problem.algorithm
-    if name == "auto":
-        name = select_algorithm(
-            before, target, params.port_model, topology=topo
-        )
-    elif name not in supported_algorithms(topo):
-        from repro.topology.capabilities import CUBE_ALGORITHMS
-
-        if name not in CUBE_ALGORITHMS:
-            raise ValueError(f"unknown algorithm {name!r}")
-        name = "routed-universal"
-    if problem.faults:
-        # Validate the fault spec at admission; workers re-parse it
-        # per-request so no fault state is ever shared across machines.
-        from repro.machine.faults import FaultPlan
-
-        FaultPlan.from_spec(
-            problem.n,
-            problem.faults,
-            topology=None if topo.name == "cube" else topo,
-        )
-    key = plan_key(params, before, target, name, topology=topo.spec)
-    return ResolvedRequest(
-        request=request,
-        params=params,
-        before=before,
-        after=after,
-        algorithm=name,
-        key=key,
-        topology=topo.spec,
-    )
+    return ResolvedRequest(request=request, **vars(request.problem.resolve()))
 
 
 class PendingResult:

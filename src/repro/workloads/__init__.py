@@ -22,7 +22,7 @@ from repro.workloads.pipeline import (
     fuse_ops,
     start_layout,
 )
-from repro.workloads.serve import WorkloadServe, serve_workload
+from repro.workloads.serve import serve_workload
 from repro.workloads.spec import (
     PRESETS,
     Workload,
@@ -48,7 +48,6 @@ __all__ = [
     "Stage",
     "TransposeStage",
     "Workload",
-    "WorkloadServe",
     "WorkloadSpecError",
     "axis_permutation_order",
     "build_pipeline",
