@@ -42,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Mapping, Union
 
 import numpy as np
@@ -551,7 +552,11 @@ class CompiledPlan:
             raise PlanError("plan document must be a JSON object")
         return cls.from_json_dict(d)
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
-        """Stable content address of the full plan (sha256 hex)."""
+        """Stable content address of the full plan (sha256 hex).
+
+        Computed once per plan object: the plan is immutable, so its
+        canonical JSON never changes.
+        """
         return hashlib.sha256(self.dumps().encode()).hexdigest()

@@ -42,6 +42,7 @@ always rides on the hub; its ring is dumped into
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from collections import deque
@@ -393,7 +394,9 @@ class Worker(threading.Thread):
             resolved=served.resolved,
             modelled_time=served.stats.time,
             queue_wait_s=queue_wait,
-            key=resolved.key,
-            fingerprint=stats_fingerprint(served.stats),
+            # The server keeps every outcome; repeats of one problem
+            # share these strings instead of holding a copy each.
+            key=sys.intern(resolved.key),
+            fingerprint=sys.intern(stats_fingerprint(served.stats)),
             recovery=None if rec is None else rec.as_dict(),
         )

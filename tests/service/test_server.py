@@ -130,3 +130,23 @@ class TestAggregation:
         assert doc["slo"]["served"] == 1
         assert doc["tenants"]["t0"]["admitted"] == 1
         assert len(doc["outcomes"]) == 1
+
+
+class TestRetention:
+    def test_untraced_workers_keep_no_span_history(self):
+        def held(server) -> int:
+            return sum(
+                len(w.instr.spans) + len(w.instr.events)
+                for w in server._all_workers()
+            )
+
+        def serve(server, rids) -> None:
+            for p in [server.submit(request(rid, f"t{rid % 4}")) for rid in rids]:
+                assert p.result(timeout=30.0).status == "served"
+
+        with TransposeServer(ServerConfig(workers=2)) as server:
+            serve(server, range(50))
+            after_50 = held(server)
+            for start in range(50, 500, 50):
+                serve(server, range(start, start + 50))
+            assert held(server) <= after_50
