@@ -118,11 +118,14 @@ class Scheduler:
         Raises :class:`AdmissionRejectedError` when a shedding gate
         fires — nothing is enqueued and no slot is created.
         """
-        entry = self.queue.submit(
-            resolved.request, resolved.key, now, payload=resolved
-        )
         pending = PendingResult()
+        # Enqueue and register under one lock: a worker may pop and serve
+        # the entry before submit() returns, and its fulfill() must then
+        # wait for the slot rather than drop the outcome as a late result.
         with self._lock:
+            entry = self.queue.submit(
+                resolved.request, resolved.key, now, payload=resolved
+            )
             self._results[entry.seq] = (pending, entry)
         return pending
 

@@ -1,5 +1,7 @@
 """Scheduler: one-time resolution, plan-key batching, result plumbing."""
 
+import threading
+
 import pytest
 
 from repro.plans.batch import BatchRequest
@@ -85,3 +87,32 @@ class TestScheduler:
         pending = sched.submit(resolve_request(request()))
         with pytest.raises(TimeoutError):
             pending.result(timeout=0.01)
+
+    def test_entry_served_before_submit_returns_is_delivered(self):
+        # A worker can pop and serve an entry the instant it is enqueued,
+        # before submit() has returned; its outcome must reach the slot
+        # instead of being dropped as a late result.
+        sched = Scheduler()
+        outcome = ServeOutcome(request_id=3, tenant="t0", status="served")
+        won = []
+
+        def worker() -> None:
+            [entry] = sched.next_batch(timeout=1.0)
+            won.append(sched.fulfill(entry, outcome))
+
+        enqueue = sched.queue.submit
+
+        def enqueue_then_yield(*args, **kwargs):
+            entry = enqueue(*args, **kwargs)
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join(timeout=0.2)  # the worker runs first
+            threads.append(thread)
+            return entry
+
+        threads = []
+        sched.queue.submit = enqueue_then_yield
+        pending = sched.submit(resolve_request(request(3)))
+        threads[0].join(timeout=5.0)
+        assert won == [True]
+        assert pending.result(timeout=1.0) is outcome
