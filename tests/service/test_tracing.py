@@ -63,13 +63,18 @@ class TestTracePropagation:
         with TransposeServer(ServerConfig(workers=1)) as server:
             outcome = server.submit(request(0)).result(timeout=30.0)
         assert outcome.trace_id == ""
-        # The untraced worker keeps the seed behaviour: a bare service
-        # span with no trace id, no wall axis, no request tree.
+        # An untraced worker hub keeps no span list, so the document
+        # has worker tracks but no spans on them.
         tracks = spans_from_chrome_document(server.trace_document())
-        spans = [s for _, track in tracks for s in track]
-        assert all(s.trace_id is None for s in spans)
-        assert all(s.wall_start is None for s in spans)
-        assert all(s.name != "request" for s in spans)
+        assert [s for _, track in tracks for s in track] == []
+        # The bounded flight ring still sees the bare service span: no
+        # trace id, no wall axis, no request tree.
+        records = [r for w in server.workers for r in w.flight.records()]
+        spans = [r for r in records if r["kind"] == "span"]
+        assert "serve" in [r["name"] for r in spans]
+        assert all(r.get("trace_id") is None for r in spans)
+        assert all(r.get("wall_start") is None for r in spans)
+        assert all(r["name"] != "request" for r in spans)
 
     def test_merged_document_is_well_formed_across_workers(self):
         reqs = [request(rid, tenant=f"t{rid % 3}") for rid in range(8)]
