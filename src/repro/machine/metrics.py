@@ -1,23 +1,18 @@
 """Execution statistics collected by the simulator.
 
-:class:`TransferStats` is a *typed view* over a
-:class:`~repro.obs.metrics.MetricsRegistry`: every field it exposes —
-``time``, ``startups``, ``element_hops``, per-link loads, per-phase
-durations — is backed by a named instrument in the registry, so the
-paper-style counters and any labelled metrics new subsystems add travel
-through one store.  The view exists because the engine's hot path wants
-typed, bound instruments (``self._startups.inc(k)``) and the analysis
-layer wants named fields (``stats.startups``); both resolve to the same
-series.
+:class:`TransferStats` is a plain record of the paper's counters: one
+attribute per field — ``time``, ``startups``, ``element_hops``, … —
+plus the per-directed-link element loads (``link_elements``) and the
+per-phase durations (``phase_times``).  The engine's hot path adds to
+the attributes directly; ``as_dict``/``from_dict`` give its JSON form
+and ``merge`` composes runs sequentially.
 """
 
 from __future__ import annotations
 
-from repro.obs.metrics import Counter, MetricsRegistry
-
 __all__ = ["TransferStats"]
 
-#: Fields backed by a plain counter, in canonical (summary/merge) order.
+#: Scalar counter fields, in canonical (summary/merge) order.
 _COUNTER_FIELDS = (
     "time",
     "comm_time",
@@ -69,101 +64,95 @@ class TransferStats:
 
     ``time`` is the modelled wall-clock time; the remaining counters
     support the paper's style of analysis (number of start-ups, element
-    transfers, communication phases, link utilization).  All counters
-    live in :attr:`registry`; the attributes here are typed accessors.
+    transfers, communication phases, link utilization).
     """
 
-    __slots__ = ("registry", "_c", "_links", "_max_link", "_phase_hist")
+    __slots__ = _COUNTER_FIELDS + ("link_elements", "phase_times")
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        reg = registry if registry is not None else MetricsRegistry()
-        self.registry = reg
-        self._c = {name: reg.counter(name) for name in _COUNTER_FIELDS}
-        self._max_link = reg.gauge("max_link_elements")
-        self._phase_hist = reg.histogram("phase_times")
-        #: (src, dst) -> bound link-load counter; the registry holds the
-        #: same instruments labelled ``link_elements{src=..,dst=..}``.
-        self._links: dict[tuple[int, int], Counter] = {}
+    def __init__(self) -> None:
+        for name in _COUNTER_FIELDS:
+            setattr(self, name, 0)
+        #: (src, dst) -> elements carried over that directed link.
+        self.link_elements: dict[tuple[int, int], int] = {}
+        #: Per-phase durations, in execution order.
+        self.phase_times: list[float] = []
 
     # -- recording (the engine's hot path) ----------------------------------
 
     def record_phase(self, duration: float) -> None:
-        self._c["phases"].value += 1
-        self._phase_hist.observe(duration)
-        self._c["time"].value += duration
-        self._c["comm_time"].value += duration
+        self.phases += 1
+        self.phase_times.append(duration)
+        self.time += duration
+        self.comm_time += duration
 
     def record_message(
         self, src: int, dst: int, elements: int, packets: int
     ) -> None:
-        c = self._c
-        c["messages"].value += 1
-        c["startups"].value += packets
-        c["element_hops"].value += elements
-        link = self._links.get((src, dst))
-        if link is None:
-            link = self.registry.counter("link_elements", src=src, dst=dst)
-            self._links[(src, dst)] = link
-        link.value += elements
-        self._max_link.update_max(link.value)
+        self.messages += 1
+        self.startups += packets
+        self.element_hops += elements
+        links = self.link_elements
+        links[src, dst] = links.get((src, dst), 0) + elements
 
     def record_copy(self, elements: int, duration: float) -> None:
-        self._c["copied_elements"].value += elements
-        self._c["copy_time"].value += duration
-        self._c["time"].value += duration
+        self.copied_elements += elements
+        self.copy_time += duration
+        self.time += duration
 
     def record_fault(self, *, node: bool) -> None:
         """A delivery hit a faulted node (``node=True``) or link."""
-        field = "node_fault_events" if node else "link_fault_events"
-        self._c[field].value += 1
+        if node:
+            self.node_fault_events += 1
+        else:
+            self.link_fault_events += 1
 
     def record_retry(self) -> None:
         """A routed transfer waited a round for a transient fault to heal."""
-        self._c["retries"].value += 1
+        self.retries += 1
 
     def record_detour(self) -> None:
         """A routed transfer misrouted one hop around a faulted resource."""
-        self._c["detour_hops"].value += 1
+        self.detour_hops += 1
 
     def record_stall(self) -> None:
         """A routing round in which no transfer could advance."""
-        self._c["stall_phases"].value += 1
+        self.stall_phases += 1
 
     def record_checkpoint(self) -> None:
         """A consistent snapshot of the node memories was retained."""
-        self._c["checkpoints"].value += 1
+        self.checkpoints += 1
 
     def record_rollback(self, replayed_phases: int = 0) -> None:
         """Execution rolled back to a checkpoint; ``replayed_phases`` is
         the number of communication phases the resume must re-execute."""
         if replayed_phases < 0:
             raise ValueError("cannot replay a negative number of phases")
-        self._c["rollbacks"].value += 1
-        self._c["replayed_phases"].value += replayed_phases
+        self.rollbacks += 1
+        self.replayed_phases += replayed_phases
 
     def record_wasted(self, elements: int) -> None:
         """Element-hops whose work was discarded by a rollback or restart."""
         if elements < 0:
             raise ValueError("cannot waste a negative number of elements")
-        self._c["wasted_elements"].value += elements
+        self.wasted_elements += elements
 
     def record_corrupted_delivery(self) -> None:
         """A delivery failed end-to-end checksum verification."""
-        self._c["integrity_corrupted_deliveries"].value += 1
+        self.integrity_corrupted_deliveries += 1
 
     def record_retransmit(self) -> None:
         """A corrupted message was retransmitted over its link."""
-        self._c["integrity_retransmits"].value += 1
+        self.integrity_retransmits += 1
 
     def record_quarantine(self) -> None:
         """A flaky link was quarantined (dead from the next phase on)."""
-        self._c["integrity_quarantined_links"].value += 1
+        self.integrity_quarantined_links += 1
 
     def record_checksum_overhead(self, elements: int) -> None:
         """Elements checksummed at send time (including retransmissions)."""
         if elements < 0:
             raise ValueError("cannot checksum a negative element count")
-        self._c["integrity_checksum_overhead"].value += elements
+        self.integrity_checksum_overhead += elements
 
     def record_traced(self, wall_seconds: float = 0.0) -> None:
         """A request served under an armed trace context.
@@ -175,34 +164,26 @@ class TransferStats:
         """
         if wall_seconds < 0:
             raise ValueError("wall_seconds cannot be negative")
-        self._c["traced_requests"].value += 1
-        self._c["trace_wall_seconds"].value += wall_seconds
+        self.traced_requests += 1
+        self.trace_wall_seconds += wall_seconds
 
     def record_plan_event(self, kind: str) -> None:
         """A plan-cache lookup outcome: ``hit``, ``miss`` or ``eviction``."""
-        if kind not in ("hit", "miss", "eviction"):
+        if kind == "hit":
+            self.plan_hits += 1
+        elif kind == "miss":
+            self.plan_misses += 1
+        elif kind == "eviction":
+            self.plan_evictions += 1
+        else:
             raise ValueError(f"unknown plan-cache event {kind!r}")
-        self._c[f"plan_{kind}s" if kind != "miss" else "plan_misses"].value += 1
 
-    # -- typed accessors ----------------------------------------------------
+    # -- derived counters ---------------------------------------------------
 
     @property
     def max_link_elements(self) -> int:
-        return self._max_link.value
-
-    @max_link_elements.setter
-    def max_link_elements(self, value: int) -> None:
-        self._max_link.set(value)
-
-    @property
-    def link_elements(self) -> dict[tuple[int, int], int]:
-        """Per-directed-link element loads (a fresh dict each access)."""
-        return {link: c.value for link, c in self._links.items()}
-
-    @property
-    def phase_times(self) -> list[float]:
-        """Per-phase durations, in execution order (the live list)."""
-        return self._phase_hist.values
+        """The heaviest directed link's element load."""
+        return max(self.link_elements.values(), default=0)
 
     @property
     def fault_events(self) -> int:
@@ -214,16 +195,11 @@ class TransferStats:
     def merge(self, other: "TransferStats") -> None:
         """Fold another stats object into this one (sequential composition)."""
         for name in _COUNTER_FIELDS:
-            self._c[name].value += other._c[name].value
-        for (src, dst), counter in other._links.items():
-            link = self._links.get((src, dst))
-            if link is None:
-                link = self.registry.counter("link_elements", src=src, dst=dst)
-                self._links[(src, dst)] = link
-            link.value += counter.value
-            self._max_link.update_max(link.value)
-        for duration in other.phase_times:
-            self._phase_hist.observe(duration)
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        links = self.link_elements
+        for link, load in other.link_elements.items():
+            links[link] = links.get(link, 0) + load
+        self.phase_times.extend(other.phase_times)
 
     def summary(self) -> str:
         text = (
@@ -259,14 +235,14 @@ class TransferStats:
     def as_dict(self) -> dict:
         """Machine-readable counters (JSON-safe: link keys stringified)."""
         doc = {
-            name: self._c[name].value
+            name: getattr(self, name)
             for name in _COUNTER_FIELDS
-            if name not in _ZERO_SUPPRESSED or self._c[name].value
+            if name not in _ZERO_SUPPRESSED or getattr(self, name)
         }
         doc["max_link_elements"] = self.max_link_elements
         doc["link_elements"] = {
-            f"{src}->{dst}": c.value
-            for (src, dst), c in sorted(self._links.items())
+            f"{src}->{dst}": load
+            for (src, dst), load in sorted(self.link_elements.items())
         }
         doc["phase_times"] = list(self.phase_times)
         return doc
@@ -276,16 +252,11 @@ class TransferStats:
         """Rebuild stats from :meth:`as_dict` output (JSON round-trip)."""
         stats = cls()
         for name in _COUNTER_FIELDS:
-            stats._c[name].value = doc.get(name, 0)
-        stats._max_link.set(doc.get("max_link_elements", 0))
+            setattr(stats, name, doc.get(name, 0))
         for key, load in doc.get("link_elements", {}).items():
-            src_text, _, dst_text = key.partition("->")
-            src, dst = int(src_text), int(dst_text)
-            counter = stats.registry.counter("link_elements", src=src, dst=dst)
-            counter.value = load
-            stats._links[(src, dst)] = counter
-        for duration in doc.get("phase_times", ()):
-            stats._phase_hist.observe(duration)
+            src, _, dst = key.partition("->")
+            stats.link_elements[int(src), int(dst)] = load
+        stats.phase_times.extend(doc.get("phase_times", ()))
         return stats
 
     def __eq__(self, other: object) -> bool:
@@ -296,18 +267,3 @@ class TransferStats:
     def __repr__(self) -> str:
         return f"TransferStats({self.summary()})"
 
-
-def _counter_property(name: str) -> property:
-    def fget(self):
-        return self._c[name].value
-
-    def fset(self, value):
-        self._c[name].value = value
-
-    fget.__name__ = fset.__name__ = name
-    return property(fget, fset)
-
-
-for _name in _COUNTER_FIELDS:
-    setattr(TransferStats, _name, _counter_property(_name))
-del _name

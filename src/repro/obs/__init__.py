@@ -3,8 +3,7 @@
 The telemetry layer of the simulator (see ``docs/observability.md``):
 
 * :mod:`repro.obs.metrics` — the labelled counter/gauge/histogram
-  registry that :class:`~repro.machine.metrics.TransferStats` is a typed
-  view over;
+  registry (histograms keep count/sum/min/max, not raw observations);
 * :mod:`repro.obs.spans` — hierarchical spans and instant events on the
   model-time axis;
 * :mod:`repro.obs.instrumentation` — the hub that multiplexes engine,

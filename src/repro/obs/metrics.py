@@ -9,11 +9,10 @@ for the same ``(name, labels)`` twice returns the same object, so hot
 paths bind an instrument once and call ``inc``/``observe`` on it with no
 per-event allocation or lookup beyond a dict hit.
 
-:class:`~repro.machine.metrics.TransferStats` is a typed view over one
-of these registries — every field it exposes is backed by an instrument
-here — so new subsystems add instruments instead of growing hand-merged
-dataclass fields, and everything shows up uniformly in
-``registry.as_dict()`` / ``registry.collect()``.
+Subsystems add instruments here instead of growing hand-merged fields,
+and everything shows up uniformly in ``registry.as_dict()`` /
+``registry.collect()``.  The simulator's own per-run counters are a
+separate plain record, :class:`~repro.machine.metrics.TransferStats`.
 """
 
 from __future__ import annotations
@@ -87,44 +86,48 @@ class Gauge:
 
 
 class Histogram:
-    """A series of observations with count/sum/min/max and the raw values.
+    """A series of observations kept as running count/sum/min/max.
 
-    The simulator's runs are small enough that keeping the raw
-    observations is cheaper than getting bucket boundaries wrong; the
-    per-phase durations view (``TransferStats.phase_times``) is exactly
-    this list.
+    Only the four aggregates are stored, so a long-lived histogram (a
+    serving worker's per-request durations) stays constant-size.
     """
 
-    __slots__ = ("name", "labels", "values", "total")
+    __slots__ = ("name", "labels", "count", "total", "min", "max")
 
     kind = "histogram"
 
     def __init__(self, name: str, labels: tuple[tuple[str, object], ...]):
         self.name = name
         self.labels = labels
-        self.values: list = []
+        self.count = 0
         self.total = 0.0
+        self.min = self.max = 0
 
     def observe(self, value) -> None:
-        self.values.append(value)
-        self.total += value
+        self._fold(1, value, value, value)
 
-    @property
-    def count(self) -> int:
-        return len(self.values)
+    def _fold(self, count: int, total, low, high) -> None:
+        if not count:
+            return
+        if not self.count or low < self.min:
+            self.min = low
+        if not self.count or high > self.max:
+            self.max = high
+        self.count += count
+        self.total += total
 
     def sample(self) -> dict:
         return {
-            "count": len(self.values),
+            "count": self.count,
             "sum": self.total,
-            "min": min(self.values) if self.values else 0,
-            "max": max(self.values) if self.values else 0,
+            "min": self.min,
+            "max": self.max,
         }
 
     def __repr__(self) -> str:
         return (
             f"Histogram({self.name}{format_labels(self.labels)} "
-            f"count={len(self.values)} sum={self.total})"
+            f"count={self.count} sum={self.total})"
         )
 
 
@@ -196,7 +199,7 @@ class MetricsRegistry:
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry in: counters add, gauges keep the max,
-        histograms concatenate observations."""
+        histograms fold their count/sum/min/max."""
         for (name, labels), inst in other._instruments.items():
             mine = self._get(type(inst), name, dict(labels))
             if isinstance(inst, Counter):
@@ -204,5 +207,4 @@ class MetricsRegistry:
             elif isinstance(inst, Gauge):
                 mine.update_max(inst.value)
             else:
-                for v in inst.values:
-                    mine.observe(v)
+                mine._fold(inst.count, inst.total, inst.min, inst.max)

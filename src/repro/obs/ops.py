@@ -61,10 +61,10 @@ def _labels(labels: dict, extra: dict | None = None) -> str:
 def format_prometheus(registry: MetricsRegistry) -> str:
     """The registry in Prometheus text exposition format (version 0.0.4).
 
-    Counters and gauges map directly; a histogram — which keeps raw
-    observations, not buckets — is exposed as its ``_count`` / ``_sum``
-    series plus ``_min`` / ``_max`` gauges, which is what the dashboards
-    in the docs plot.
+    Counters and gauges map directly; a histogram — which keeps running
+    count/sum/min/max, not buckets — is exposed as its ``_count`` /
+    ``_sum`` series plus ``_min`` / ``_max`` gauges, which is what the
+    dashboards in the docs plot.
     """
     families: dict[str, tuple[str, list[str]]] = {}
     for name, labels, kind, sample in registry.collect():

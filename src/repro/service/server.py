@@ -51,6 +51,10 @@ from repro.service.worker import Worker
 
 __all__ = ["ServerConfig", "ServerReport", "TransposeServer", "percentile"]
 
+#: Longest :meth:`TransposeServer.stop` waits, drain and worker joins
+#: together, before aborting what is left as ``"stopped"``.
+_STOP_TIMEOUT_S = 30.0
+
 
 def percentile(values: list[float], q: float) -> float:
     """The q-th percentile (0..100) by nearest-rank on sorted values."""
@@ -443,11 +447,11 @@ class TransposeServer:
         ``"stopped"`` outcome before this returns, so no client blocks
         forever on a request the pool will never serve.
         """
+        deadline = perf_counter() + _STOP_TIMEOUT_S
         if wait:
-            self.drain()
+            self.drain(timeout=_STOP_TIMEOUT_S)
         self._running = False
         self.scheduler.close()
-        deadline = perf_counter() + 30.0
         while True:
             with self._pool_lock:
                 pool = list(self.workers)

@@ -28,13 +28,19 @@ class TestInstruments:
         g.update_max(11)
         assert g.value == 11
 
-    def test_histogram_keeps_raw_values(self):
+    def test_histogram_keeps_running_aggregates(self):
         h = Histogram("x", ())
         for v in (1.0, 3.0, 2.0):
             h.observe(v)
-        assert h.values == [1.0, 3.0, 2.0]
-        assert h.count == 3
+        assert (h.count, h.total, h.min, h.max) == (3, 6.0, 1.0, 3.0)
         assert h.sample() == {"count": 3, "sum": 6.0, "min": 1.0, "max": 3.0}
+        assert not hasattr(h, "values")
+
+    def test_histogram_all_negative_series(self):
+        h = Histogram("x", ())
+        for v in (-2.0, -0.5, -4.0):
+            h.observe(v)
+        assert h.sample() == {"count": 3, "sum": -6.5, "min": -4.0, "max": -0.5}
 
     def test_empty_histogram_sample(self):
         assert Histogram("x", ()).sample() == {
@@ -91,7 +97,7 @@ class TestRegistry:
         assert format_labels(()) == ""
         assert format_labels((("a", 1), ("b", "x"))) == "{a=1,b=x}"
 
-    def test_merge_adds_maxes_and_concatenates(self):
+    def test_merge_adds_maxes_and_folds_histograms(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("n").inc(2)
         b.counter("n").inc(5)
@@ -101,4 +107,28 @@ class TestRegistry:
         a.merge(b)
         assert a.counter("n").value == 7
         assert a.gauge("peak").value == 10
-        assert a.histogram("dur").values == [1.5]
+        assert a.histogram("dur").sample() == {
+            "count": 1, "sum": 1.5, "min": 1.5, "max": 1.5,
+        }
+
+    def test_merge_folds_negative_and_empty_histograms(self):
+        a, b = MetricsRegistry(), MetricsRegistry()
+        for v in (-3.0, -1.0):
+            a.histogram("dur").observe(v)
+        b.histogram("dur")  # registered, never observed
+        b.histogram("idle")
+        a.merge(b)
+        assert a.histogram("dur").sample() == {
+            "count": 2, "sum": -4.0, "min": -3.0, "max": -1.0,
+        }
+        assert a.histogram("idle").sample() == {
+            "count": 0, "sum": 0.0, "min": 0, "max": 0,
+        }
+        empty = MetricsRegistry()
+        empty.merge(a)
+        assert empty.histogram("dur").sample() == a.histogram("dur").sample()
+        b.histogram("dur").observe(-5.0)
+        a.merge(b)
+        assert a.histogram("dur").sample() == {
+            "count": 3, "sum": -9.0, "min": -5.0, "max": -1.0,
+        }

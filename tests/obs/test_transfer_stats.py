@@ -1,4 +1,4 @@
-"""TransferStats as a registry view: round-trips and merge algebra."""
+"""TransferStats as a plain record: round-trips and merge algebra."""
 
 import json
 

@@ -1,5 +1,6 @@
 """The self-healing layer: supervisor, retries, breaker, brownout."""
 
+import threading
 import time
 
 import pytest
@@ -19,6 +20,7 @@ from repro.service import (
     TransposeServer,
     WorkerCrashed,
 )
+from repro.service import server as server_module
 from repro.service.resilience import BROWNOUT_LADDER
 
 
@@ -356,6 +358,36 @@ class TestStopAndDrain:
         assert result.status == "stopped"
         assert "the server stopped" in result.error
         assert server.report().slo()["stopped"] == 1
+
+    def test_stop_is_bounded_when_an_admitted_entry_is_never_served(
+        self, monkeypatch
+    ):
+        # A live, idle pool that lost an entry: drain() alone would wait
+        # forever, so stop() must give up at its deadline.
+        monkeypatch.setattr(server_module, "_STOP_TIMEOUT_S", 0.3,
+                            raising=False)
+        server = TransposeServer(ServerConfig(workers=1, supervise=False))
+        real = server.scheduler.next_batch
+        lost = []
+
+        def lossy(timeout=None):
+            batch = real(timeout)
+            if batch and not lost:
+                lost.extend(batch)
+                return []
+            return batch
+
+        server.scheduler.next_batch = lossy
+        server.start()
+        pending = server.submit(request(0))
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=10.0)
+        assert not stopper.is_alive(), "stop() hung on a lost entry"
+        assert lost
+        result = pending.result(timeout=1.0)
+        assert result.status == "stopped"
+        assert "ServerStoppedError" in result.error
 
     def test_dead_pool_without_supervision_aborts_the_drain(self):
         def massacre(worker, entry):
